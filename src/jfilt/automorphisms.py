@@ -48,10 +48,6 @@ from .words import (
     render_word,
 )
 
-# (h1 o h2)(z) = h1(h2(z)); every formula downstream assumes this order.
-COMPOSE_APPLIES_LEFT_LAST = True
-
-
 class NilAut:
     """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g."""
 
@@ -123,7 +119,8 @@ def is_identity(h: NilAut) -> bool:
 
 
 def compose(h1: NilAut, h2: NilAut) -> NilAut:
-    """``z -> h1(h2(z))``."""
+    """``z -> h1(h2(z))``: h1 applies last, an order every formula
+    downstream assumes."""
     if h1.alphabet != h2.alphabet:
         raise ValidationError("alphabet mismatch")
     if h1.level != h2.level:

@@ -335,11 +335,11 @@ def lift_lie_element(elem: LieElement, alphabet: Alphabet) -> GroupWord:
     of bracketing words raised to the coordinate exponents."""
     if alphabet.size != elem.n:
         raise ValidationError("alphabet size must match the Lie rank")
-    out = GroupWord(alphabet)
+    letters = []
     for c, w in zip(elem.coords, hall_basis(elem.n, elem.degree).words):
         if c:
-            out = out * group_bracketing(w, alphabet) ** c
-    return out
+            letters += (group_bracketing(w, alphabet) ** c).letters
+    return GroupWord(alphabet, tuple(letters))
 
 
 def bracket_string(elem: LieElement, alphabet: Alphabet) -> str:

@@ -44,10 +44,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return out
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     if not a:
         return []

@@ -12,10 +12,9 @@ what makes nilpotent_equal and lcs_weight exact.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import PreconditionError, ValidationError
 
@@ -82,6 +81,10 @@ def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     return tuple((g, e) for g, e in stack)
 
 
+def _inverse_letters(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
+    return tuple((g, -e) for g, e in reversed(letters))
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """A reduced word.  Construction merges adjacent letters on the same
@@ -92,8 +95,9 @@ class GroupWord:
     letters: Tuple[Letter, ...] = ()
 
     def __post_init__(self):
+        size = self.alphabet.size
         for gen, exp in self.letters:
-            if not 0 <= gen < self.alphabet.size:
+            if not 0 <= gen < size:
                 raise ValidationError("letter index %d out of range" % (gen,))
             if not isinstance(exp, int):
                 raise ValidationError("exponent must be an integer")
@@ -105,14 +109,21 @@ class GroupWord:
         return GroupWord(self.alphabet, self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.alphabet, tuple((g, -e) for g, e in reversed(self.letters)))
+        return GroupWord(self.alphabet, _inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
-        base = self if n >= 0 else self.inverse()
-        out = GroupWord(self.alphabet)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        letters = (self if n >= 0 else self.inverse()).letters
+        n = abs(n)
+        # Split the base as c r c^-1 with r cyclically reduced, so that the
+        # copies of r meet without cancelling and the result is reduced in
+        # one pass over c r^n c^-1.  A one-letter r takes its n-th power as
+        # one letter, so x^n costs nothing per unit of n.
+        k = 0
+        while 2 * k + 1 < len(letters) and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
+            k += 1
+        core = letters[k : len(letters) - k]
+        middle = ((core[0][0], core[0][1] * n),) if len(core) == 1 else core * n
+        return GroupWord(self.alphabet, letters[:k] + middle + letters[len(letters) - k :])
 
     @property
     def is_empty(self) -> bool:
@@ -148,14 +159,10 @@ def conjugate(u: GroupWord, by: GroupWord) -> GroupWord:
 def omega(g: int) -> GroupWord:
     """The boundary word (y1 ... yg)^-1 (x1 y1 x1^-1 ... xg yg xg^-1) on the
     full alphabet of genus g.  Every generator has total exponent zero."""
-    ab = Alphabet(g, FULL)
-    head = GroupWord(ab, tuple((g + i, 1) for i in range(g))).inverse()
-    tail = GroupWord(ab)
+    letters = [(g + i, -1) for i in reversed(range(g))]
     for i in range(g):
-        xi = generator(ab, i)
-        yi = generator(ab, g + i)
-        tail = tail * xi * yi * xi.inverse()
-    return head * tail
+        letters += [(i, 1), (g + i, 1), (i, -1)]
+    return GroupWord(Alphabet(g, FULL), tuple(letters))
 
 
 def embed_word(w: GroupWord, full: Alphabet) -> GroupWord:
@@ -260,28 +267,42 @@ class TruncatedSeries:
         return "TruncatedSeries(q=%d: %s)" % (self.cutoff, body or "0")
 
 
-def _letter_series(alphabet: Alphabet, gen: int, exp: int, q: int) -> TruncatedSeries:
-    # Coefficient of Z^j in (1 + Z)^exp, valid for negative exponents too.
-    terms: Dict[Tuple[int, ...], int] = {}
-    for j in range(q):
-        if exp >= 0:
-            if j > exp:
-                break
-            coeff = math.comb(exp, j)
-        else:
-            coeff = (-1) ** j * math.comb(-exp + j - 1, j)
-        if coeff:
-            terms[(gen,) * j] = coeff
-    return TruncatedSeries(alphabet, q, terms)
-
-
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
-    """Image of w under z -> 1 + Z, truncated below degree q (q >= 2)."""
+    """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
+
+    The terms are kept in one dict per degree.  Each letter z^e multiplies
+    them on the right by (1 + Z)^e in place, from the top degree down: a
+    term c*m of degree d adds c*binom_j(e) at m.Z^j for 0 < j < q - d.
+    Those targets lie in higher degrees, which have already been read, so a
+    letter costs O(terms * q) and never visits the top degree."""
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
-    series = TruncatedSeries.one(w.alphabet, q)
+    by_degree: List[Dict[Tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(q - 1)]
     for gen, exp in w.letters:
-        series = series * _letter_series(w.alphabet, gen, exp, q)
+        # (Z^j, binom_j(e)) while binom_j(e) != 0; the recurrence
+        # binom_j(e) = binom_{j-1}(e) * (e - j + 1) / j is exact for e < 0 too.
+        steps = []
+        b = 1
+        for j in range(1, q):
+            b = b * (exp - j + 1) // j
+            if not b:
+                break
+            steps.append(((gen,) * j, b))
+        for d in range(q - 2, -1, -1):
+            source = by_degree[d]
+            if not source:
+                continue
+            for target, (tail, b) in zip(by_degree[d + 1 :], steps):
+                for m, c in source.items():
+                    key = m + tail
+                    val = target.get(key, 0) + c * b
+                    if val:
+                        target[key] = val
+                    else:
+                        del target[key]
+    series = TruncatedSeries(w.alphabet, q)
+    for terms in by_degree:
+        series.terms.update(terms)
     return series
 
 
@@ -330,39 +351,50 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
         state["i"] += 1
         return tok
 
-    def parse_sequence(stop: Tuple[str, ...]) -> GroupWord:
-        out = GroupWord(alphabet)
+    # A sequence collects the unreduced letters of its terms in one list and
+    # the whole word is reduced once at the end.  The operands of a
+    # commutator and the base of a power are reduced on the way, because
+    # they are copied: letters that cancel are not copied with them.
+    def parse_sequence(stop: Tuple[str, ...]) -> List[Letter]:
+        out: List[Letter] = []
         while True:
             tok = peek()
             if tok is None or tok in stop:
                 return out
-            out = out * parse_term()
+            out += parse_term()
 
-    def parse_term() -> GroupWord:
+    def parse_term() -> Tuple[Letter, ...]:
         tok = take()
         if tok == "[":
-            left = parse_sequence((",",))
+            left = _reduce_letters(parse_sequence((",",)))
             if take() != ",":
                 raise ValidationError("commutator is missing a comma")
-            right = parse_sequence(("]",))
+            right = _reduce_letters(parse_sequence(("]",)))
             if take() != "]":
                 raise ValidationError("commutator is missing a closing bracket")
-            base = commutator(left, right)
+            base = left + right + _inverse_letters(left) + _inverse_letters(right)
         elif tok == "(":
-            base = parse_sequence((")",))
+            base = tuple(parse_sequence((")",)))
             if take() != ")":
                 raise ValidationError("unbalanced parenthesis")
         elif tok and tok[0] in "xy":
-            base = generator(alphabet, alphabet.index(tok))
+            base = ((alphabet.index(tok), 1),)
         else:
             raise ValidationError("unexpected token %r" % (tok,))
         nxt = peek()
         if nxt and nxt.startswith("^"):
             take()
-            base = base ** int(nxt[1:])
+            try:
+                n = int(nxt[1:])
+            except ValueError:  # more digits than int() converts
+                raise ValidationError("exponent with %d digits is too long" % (len(nxt) - 1,))
+            if len(base) == 1:
+                base = ((base[0][0], base[0][1] * n),)
+            else:
+                base = (GroupWord(alphabet, base) ** n).letters
         return base
 
-    result = parse_sequence(())
+    result = GroupWord(alphabet, tuple(parse_sequence(())))
     if state["i"] != len(tokens):
         raise ValidationError("trailing tokens in word")
     return result

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import operator
+import random
+import time
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +16,7 @@ from jfilt.errors import PreconditionError, ValidationError
 from jfilt.words import (
     Alphabet,
     GroupWord,
+    TruncatedSeries,
     commutator,
     embed_word,
     generator,
@@ -34,6 +41,14 @@ def words_over(alphabet, max_len=6, max_exp=2):
         st.integers(-max_exp, max_exp).filter(lambda e: e != 0),
     )
     return st.lists(letter, max_size=max_len).map(lambda ls: GroupWord(alphabet, tuple(ls)))
+
+
+def cancelling_words(alphabet):
+    """Words u v u^-1 w, whose letters cancel when the pieces are joined."""
+    piece = st.lists(
+        st.tuples(st.integers(0, alphabet.size - 1), st.integers(-3, 3)), max_size=5
+    ).map(lambda ls: GroupWord(alphabet, tuple(ls)))
+    return st.tuples(piece, piece, piece).map(lambda t: t[0] * t[1] * t[0].inverse() * t[2])
 
 
 def test_reduction_cancels_adjacent_letters():
@@ -63,6 +78,7 @@ def test_omega_genus1_word_and_expansion():
     series = magnus_expand(w, 3)
     assert series.terms == {(): 1, (0, 1): 1, (1, 0): -1}
     assert series.lowest_positive_degree() == 2
+    assert render_word(omega(2)) == "y2^-1 y1^-1 x1 y1 x1^-1 x2 y2 x2^-1"
 
 
 def test_omega_exponent_sums_vanish():
@@ -128,14 +144,114 @@ def test_inverse_cancels_under_magnus(u):
     assert u.inverse().inverse() == u
 
 
-@settings(max_examples=40, deadline=None)
-@given(words_over(FULL1, max_len=4), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(words_over(FULL1, max_len=4), cancelling_words(FULL1)), st.integers(-4, 4))
 def test_power_matches_repeated_product(u, n):
     expected = GroupWord(FULL1)
     step = u if n >= 0 else u.inverse()
     for _ in range(abs(n)):
         expected = expected * step
     assert u ** n == expected
+
+
+def test_power_examples():
+    x1 = generator(FULL1, 0)
+    y1 = generator(FULL1, 1)
+    assert (x1 * y1 * x1.inverse()) ** -3 == word(FULL1, (0, 1), (1, -3), (0, -1))
+    assert parse_word("(x1 y1 x1^-1)^-3", FULL1) == word(FULL1, (0, 1), (1, -3), (0, -1))
+    assert (x1 ** 2 * y1 * x1 ** -1) ** 2 == word(FULL1, (0, 2), (1, 1), (0, 1), (1, 1), (0, -1))
+    assert (x1 * y1) ** 0 == GroupWord(FULL1)
+    assert GroupWord(FULL1) ** -5 == GroupWord(FULL1)
+    assert x1 ** -7 == word(FULL1, (0, -7))
+    # A power whose base is one letter up to conjugation is built in one
+    # step, however large the exponent.
+    assert (x1 * y1 * x1.inverse()) ** 10**15 == word(FULL1, (0, 1), (1, 10**15), (0, -1))
+
+
+def _reference_magnus(w, q):
+    """The definition: the product over the letters z^e of w of the series
+    (1 + Z)^e, folded under TruncatedSeries multiplication."""
+    series = TruncatedSeries.one(w.alphabet, q)
+    for gen, exp in w.letters:
+        terms = {}
+        for j in range(q):
+            if exp >= 0:
+                coeff = math.comb(exp, j) if j <= exp else 0
+            else:
+                coeff = (-1) ** j * math.comb(-exp + j - 1, j)
+            terms[(gen,) * j] = coeff
+        series = series * TruncatedSeries(w.alphabet, q, terms)
+    return series
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cancelling_words(FULL1), cancelling_words(FULL2)), st.integers(2, 5))
+def test_magnus_matches_the_per_letter_product(w, q):
+    series = magnus_expand(w, q)
+    assert series.terms == _reference_magnus(w, q).terms
+    assert all(c != 0 and len(m) < q for m, c in series.terms.items())
+
+
+def word_expressions(alphabet):
+    """Pairs (text, word) of nested commutators, powers and products, the
+    word built with *, ** and commutator."""
+    leaf = st.integers(0, alphabet.size - 1).map(
+        lambda i: (alphabet.name(i), generator(alphabet, i))
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, inner).map(
+                lambda p: ("[%s,%s]" % (p[0][0], p[1][0]), commutator(p[0][1], p[1][1]))
+            ),
+            st.tuples(inner, st.integers(-3, 3)).map(
+                lambda p: ("(%s)^%d" % (p[0][0], p[1]), p[0][1] ** p[1])
+            ),
+            st.lists(inner, min_size=1, max_size=3).map(
+                lambda ps: (" ".join(t for t, _ in ps), reduce(operator.mul, [w for _, w in ps]))
+            ),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_expressions(FULL2))
+def test_parse_matches_the_built_word(expr):
+    text, expected = expr
+    assert parse_word(text, FULL2) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(words_over(FULL2, max_len=12, max_exp=4), cancelling_words(FULL2)))
+def test_parse_inverts_render(w):
+    assert parse_word(render_word(w), FULL2) == w
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def test_long_words_parse_in_bounded_time():
+    # Both inputs took seconds to minutes while parsing was quadratic in the
+    # letters; the bound leaves a wide margin for a slow host.
+    ab = Alphabet(3)
+    w, seconds = _timed(parse_word, "(x1 y1)^4000", ab)
+    assert w.letters == ((0, 1), (3, 1)) * 4000
+    assert seconds < 2.0
+    rng = random.Random(0)
+    letters = [(0, 1)]
+    while len(letters) < 40000:
+        gen = rng.randrange(ab.size)
+        if gen != letters[-1][0]:
+            letters.append((gen, rng.choice((-2, -1, 1, 2))))
+    long_word = GroupWord(ab, tuple(letters))
+    assert len(long_word.letters) == 40000
+    parsed, seconds = _timed(parse_word, render_word(long_word), ab)
+    assert parsed == long_word
+    assert seconds < 2.0
 
 
 def _random_nested_commutator(rng, alphabet, depth):
@@ -175,7 +291,7 @@ def test_parse_and_render_round_trip():
 
 
 def test_parse_rejects_malformed_input():
-    for text in ("x0", "z1", "[x1 y1]", "x1^", "(x1", "x9", "x1]"):
+    for text in ("x0", "z1", "[x1 y1]", "x1^", "(x1", "x9", "x1]", "x1^" + "9" * 5000):
         with pytest.raises(ValidationError):
             parse_word(text, FULL2)
 
