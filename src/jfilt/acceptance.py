@@ -38,15 +38,9 @@ from .brackets import (
     embed_tensor,
     tensor_from_components,
 )
-from .errors import NotOrientable
 from .lagrangian import cocycle_check, gap_closed_form, jl_element, lagrangian_degree, pure_braid_rank
 from .lie import generator_element, graded_class, lie_bracket
-from .orientation import (
-    count_valid_orientations,
-    enumerate_unitrivalent,
-    orient,
-    verify_orientation,
-)
+from .orientation import census
 from .trees import (
     flip_vertex,
     h_tree,
@@ -54,7 +48,6 @@ from .trees import (
     rooted_bracket,
     span_check,
     tree_to_dk,
-    validate,
 )
 from .words import (
     FULL,
@@ -231,20 +224,11 @@ def criterion_8_mirror_triviality(seed: int = 0) -> Tuple[bool, str]:
 def criterion_9_orientation(seed: int = 0) -> Tuple[bool, str]:
     """Exhaustive connected unitrivalent multigraphs with <= 4 trivalent
     vertices: orientable iff cyclic iff the brute-force count is positive."""
-    total = 0
-    orientable = 0
-    for g in enumerate_unitrivalent(4):
-        info = validate(g)
-        count = count_valid_orientations(g)
-        try:
-            o = orient(g)
-            succeeded = verify_orientation(g, o) == []
-        except NotOrientable:
-            succeeded = False
-        if not (succeeded == (info.betti1 >= 1) == (count > 0)):
-            return False, "mismatch on a graph with %d trivalent vertices" % info.degree
-        total += 1
-        orientable += int(succeeded)
+    rows, mismatches = census(4)
+    if mismatches:
+        return False, "mismatch on a graph with %d trivalent vertices" % mismatches[0]
+    total = sum(r["orientable"] + r["not_orientable"] for r in rows)
+    orientable = sum(r["orientable"] for r in rows)
     return True, "%d graphs, %d orientable, all three tests agree" % (total, orientable)
 
 

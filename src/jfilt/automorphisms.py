@@ -24,13 +24,12 @@ law in the Lagrangian module) are calibrated against this constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, tensor_from_components
 from .errors import PreconditionError, ValidationError
 from .lie import LieElement, tensor_to_lyndon
-from .snf import Matrix, determinant_unimodular, matmul, transpose
+from .snf import Matrix, matmul, smith_normal_form, transpose
 from .words import (
     FULL,
     X_ONLY,
@@ -65,7 +64,7 @@ class NilAut:
         self.level = int(level)
         self.images = tuple(images)
         matrix = [list(w.abelianization()) for w in self.images]
-        if abs(determinant_unimodular(matrix)) != 1:
+        if smith_normal_form(matrix).diagonal != [1] * len(matrix):
             raise ValidationError("abelianization is not invertible over the integers")
         self._abelianization = matrix
         # Memo for check_aut0 at this level; populated by constructions that
@@ -143,33 +142,6 @@ def reduce_level(h: NilAut, q: int) -> NilAut:
     return out
 
 
-def _integer_inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    n = len(matrix)
-    work = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = work[i][n + j]
-            if v.denominator != 1:
-                raise ValidationError("inverse is not integral")
-            row.append(int(v))
-        out.append(row)
-    return out
-
-
 def invert_aut(h: NilAut) -> NilAut:
     """Two-sided inverse at ``h``'s level.
 
@@ -180,7 +152,8 @@ def invert_aut(h: NilAut) -> NilAut:
     weight >= m+1 terms.  At most ``level`` rounds are needed.
     """
     ab = h.alphabet
-    inverse_matrix = _integer_inverse(h._abelianization)
+    dec = smith_normal_form(h._abelianization)
+    inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
     images = []
     for i in range(ab.size):
         letters = []

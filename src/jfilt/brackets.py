@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
 from .lie import (
@@ -54,10 +54,6 @@ class TensorElement:
             raise ValidationError(
                 "coordinate length %d does not match n*W = %d" % (len(self.coords), expected)
             )
-
-    @property
-    def lie_degree(self) -> int:
-        return self.level + 1
 
     @classmethod
     def zero(cls, n: int, level: int) -> "TensorElement":
@@ -189,22 +185,6 @@ def a1_dimensions(g: int) -> Tuple[int, int]:
     if g < 1:
         raise ValidationError("genus must be positive")
     return dk_rank(2 * g, 1), comb(2 * g, 2) + 2 * g + 1
-
-
-def dk_table(pairs: Iterable[Tuple[int, int]]) -> List[Dict[str, int]]:
-    """Rank table rows for the CLI: one dict per ``(n, k)`` pair."""
-    rows = []
-    for n, k in pairs:
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "tensor_dim": n * witt_dimension(n, k + 1),
-                "target_dim": witt_dimension(n, k + 2),
-                "kernel_rank": dk_rank(n, k),
-            }
-        )
-    return rows
 
 
 def embed_tensor(t: TensorElement, n_target: int, shift: int) -> TensorElement:

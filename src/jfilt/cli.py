@@ -1,8 +1,9 @@
 """Command-line surface: every module behind one batch-oriented driver.
 
-Exit codes: 0 on success, 2 on validation problems (malformed input, graphs
-that fail structural checks, trees handed to the orienter), 3 on violated
-operation preconditions.  Output is JSON in canonical key order by default,
+Exit codes: 0 on success, 1 when a check the command runs fails (``selftest``,
+``lagrangian gap-table``, ``graph census``), 2 on validation problems
+(malformed input, graphs that fail structural checks, trees handed to the
+orienter), 3 on violated operation preconditions.  Output is JSON in canonical key order by default,
 CSV with ``--csv``; ``--out`` redirects to a file.  The environment variable
 ``JFILT_MAX_DEGREE`` (default 8) caps every level/degree argument so a typo
 cannot start an astronomically large computation.
@@ -38,6 +39,7 @@ from .errors import NotOrientable, PreconditionError, ValidationError
 from .lagrangian import gap_table, jl_element, lagrangian_degree, cocycle_check
 from .lie import witt_dimension
 from .orientation import (
+    census,
     count_valid_orientations,
     orient,
     orientation_to_json,
@@ -184,9 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=int, default=5)
     p.add_argument("--kmax", type=int, default=3)
 
-    p = sub.add_parser("graph", parents=[common], help="orient a unitrivalent graph")
-    p.add_argument("action", choices=["orient", "count"])
-    p.add_argument("file")
+    p = sub.add_parser(
+        "graph", parents=[common], help="orient a unitrivalent graph, or census small ones"
+    )
+    p.add_argument("action", choices=["orient", "count", "census"])
+    p.add_argument("file", nargs="?")
+    p.add_argument("--tmax", type=int, default=4)
 
     sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")
     return parser
@@ -263,7 +268,7 @@ def _cmd_stringlink(args) -> None:
     _emit(aut_to_json(builder(t, q)), args)
 
 
-def _cmd_lagrangian(args) -> None:
+def _cmd_lagrangian(args) -> int:
     if args.action == "gap-table":
         _check_degree(args.kmax, "kmax")
         pairs = [
@@ -273,7 +278,11 @@ def _cmd_lagrangian(args) -> None:
         ]
         rows = gap_table(pairs)
         _emit(rows, args)
-        return
+        bad = sum(1 for r in rows if r["match"] is False)
+        if bad:
+            print("error: %d rows disagree with the closed forms" % bad, file=sys.stderr)
+            return 1
+        return 0
     if args.action == "cocycle":
         if len(args.files) != 2:
             raise ValidationError("lagrangian cocycle takes two automorphism files")
@@ -282,7 +291,7 @@ def _cmd_lagrangian(args) -> None:
         k = args.k if args.k is not None else 1
         _check_degree(k, "k")
         _emit({"k": k, "holds": cocycle_check(h1, h2, k)}, args)
-        return
+        return 0
     if len(args.files) != 1:
         raise ValidationError("lagrangian %s takes one automorphism file" % args.action)
     h = _load_aut(args.files[0], args.level)
@@ -303,9 +312,22 @@ def _cmd_lagrangian(args) -> None:
             },
             args,
         )
+    return 0
 
 
-def _cmd_graph(args) -> None:
+def _cmd_graph(args) -> int:
+    if (args.file is None) != (args.action == "census"):
+        raise ValidationError("graph census takes no file; graph orient and count take one")
+    if args.action == "census":
+        rows, mismatches = census(_check_degree(args.tmax, "tmax"))
+        _emit(rows, args)
+        if mismatches:
+            print(
+                "error: %d graphs disagree with the cycle-rank criterion" % len(mismatches),
+                file=sys.stderr,
+            )
+            return 1
+        return 0
     g = clasper_from_json(_load_json(args.file))
     if args.action == "orient":
         orientation = orient(g)
@@ -318,6 +340,7 @@ def _cmd_graph(args) -> None:
         )
     else:
         _emit({"count": count_valid_orientations(g)}, args)
+    return 0
 
 
 def _cmd_selftest(args) -> int:
@@ -363,9 +386,9 @@ def run(argv: List[str]) -> int:
         elif args.command == "stringlink":
             _cmd_stringlink(args)
         elif args.command == "lagrangian":
-            _cmd_lagrangian(args)
+            return _cmd_lagrangian(args)
         elif args.command == "graph":
-            _cmd_graph(args)
+            return _cmd_graph(args)
         elif args.command == "selftest":
             return _cmd_selftest(args)
     except NotOrientable as exc:

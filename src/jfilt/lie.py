@@ -340,33 +340,3 @@ def lift_lie_element(elem: LieElement, alphabet: Alphabet) -> GroupWord:
         if c:
             letters += (group_bracketing(w, alphabet) ** c).letters
     return GroupWord(alphabet, tuple(letters))
-
-
-def bracket_string(elem: LieElement, alphabet: Alphabet) -> str:
-    if alphabet.size != elem.n:
-        raise ValidationError("alphabet size must match the Lie rank")
-
-    def render(w: Monomial) -> str:
-        if len(w) == 1:
-            return alphabet.name(w[0])
-        u, v = standard_factorization(w)
-        return "[%s,%s]" % (render(u), render(v))
-
-    parts = []
-    for c, w in zip(elem.coords, hall_basis(elem.n, elem.degree).words):
-        if c == 0:
-            continue
-        prefix = "" if c == 1 else ("-" if c == -1 else "%d*" % c)
-        parts.append(prefix + render(w))
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-def lie_to_json(elem: LieElement) -> dict:
-    return {"n": elem.n, "k": elem.degree, "coords": list(elem.coords)}
-
-
-def lie_from_json(data: dict) -> LieElement:
-    try:
-        return LieElement(int(data["n"]), int(data["k"]), tuple(int(c) for c in data["coords"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("bad Lie element payload: %s" % (exc,))

@@ -44,6 +44,7 @@ __all__ = [
     "orientation_to_json",
     "oriented_dot",
     "enumerate_unitrivalent",
+    "census",
 ]
 
 
@@ -253,3 +254,29 @@ def enumerate_unitrivalent(max_trivalent: int) -> Iterator[ClasperGraph]:
         for mults in rec(0, {}):
             if _connected_internal(t, mults):
                 yield _assemble_graph(t, mults)
+
+
+def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
+    """Orientability of every connected unitrivalent multigraph with at most
+    ``max_trivalent`` trivalent vertices.
+
+    Returns one row per trivalent size (``trivalent``, ``orientable``,
+    ``not_orientable``) and the trivalent sizes of the graphs on which
+    ``orient`` succeeding, a cycle and a positive brute-force count do not
+    all agree; that list is empty when the criterion holds.
+    """
+    rows: Dict[int, Dict[str, int]] = {}
+    mismatches: List[int] = []
+    for g in enumerate_unitrivalent(max_trivalent):
+        info = validate(g)
+        try:
+            succeeded = verify_orientation(g, orient(g)) == []
+        except NotOrientable:
+            succeeded = False
+        if not succeeded == (info.betti1 >= 1) == (count_valid_orientations(g) > 0):
+            mismatches.append(info.degree)
+        row = rows.setdefault(
+            info.degree, {"trivalent": info.degree, "orientable": 0, "not_orientable": 0}
+        )
+        row["orientable" if succeeded else "not_orientable"] += 1
+    return [rows[t] for t in sorted(rows)], mismatches

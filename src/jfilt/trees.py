@@ -68,9 +68,6 @@ class ClasperGraph:
     def label_map(self) -> Dict[str, Tuple[int, ...]]:
         return dict(self.labels)
 
-    def half_edges(self) -> List[Half]:
-        return [(vid, s) for vid, arity in self.vertices for s in range(arity)]
-
 
 @dataclass(frozen=True)
 class GraphInfo:
@@ -478,26 +475,3 @@ def random_labeled_tree(rng: random.Random, n: int, k: int) -> ClasperGraph:
     labels = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(leaves)]
     flips = [rng.random() < 0.5 for _ in range(k)]
     return assemble_unitrivalent(n, k, edges, labels, flips)
-
-
-def to_dot(g: ClasperGraph, names: Optional[Sequence[str]] = None) -> str:
-    """Undirected DOT rendering; leaves annotated with their label vectors."""
-    lines = ["graph clasper {"]
-    labels = g.label_map()
-    for vid, arity in g.vertices:
-        if arity == TRIVALENT:
-            lines.append('  "%s" [shape=point];' % vid)
-        else:
-            vec = labels.get(vid, ())
-            if names is not None:
-                terms = [
-                    ("%+d%s" % (c, names[i])) for i, c in enumerate(vec) if c != 0
-                ]
-                text = " ".join(terms) if terms else "0"
-            else:
-                text = "(%s)" % ", ".join(str(c) for c in vec)
-            lines.append('  "%s" [shape=circle, label="%s"];' % (vid, text))
-    for a, b in g.edges:
-        lines.append('  "%s" -- "%s";' % (a[0], b[0]))
-    lines.append("}")
-    return "\n".join(lines)

@@ -51,7 +51,7 @@ class Alphabet:
         return "%s%d" % (letter, index + 1)
 
     def index(self, name: str) -> int:
-        m = re.fullmatch(r"([xy])([0-9]+)", name)
+        m = _GENERATOR.fullmatch(name)
         if not m:
             raise ValidationError("bad generator name %r" % (name,))
         letter, num = m.group(1), int(m.group(2))
@@ -85,6 +85,43 @@ def _inverse_letters(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
     return tuple((g, -e) for g, e in reversed(letters))
 
 
+# Most letters a word may hold once a power or a commutator is built into it.
+# Both can multiply the length of a short input: (x1 y1)^100000000 is 20
+# bytes.  A literal word is not capped, since it costs its own input size.
+MAX_WORD_LETTERS = 10**6
+
+
+def _check_room(held: int, size: int) -> None:
+    if held + size > MAX_WORD_LETTERS:
+        raise ValidationError(
+            "word would exceed %d letters (%d built, %d more requested)"
+            % (MAX_WORD_LETTERS, held, size)
+        )
+
+
+def _power_letters(letters: Tuple[Letter, ...], n: int, held: int = 0) -> Tuple[Letter, ...]:
+    """Letters of w^n, not yet reduced, for the reduced letters of w; the
+    result with ``held`` letters already built must fit MAX_WORD_LETTERS.
+
+    Splits w as c r c^-1 with r cyclically reduced, so that the copies of r
+    meet without cancelling and the result is reduced in one pass over
+    c r^n c^-1.  A one-letter r takes its n-th power as one letter, so
+    x^n costs nothing per unit of n and is never refused.
+    """
+    if n < 0:
+        letters, n = _inverse_letters(letters), -n
+    k = 0
+    while 2 * k + 1 < len(letters) and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
+        k += 1
+    core = letters[k : len(letters) - k]
+    if len(core) == 1:
+        middle = ((core[0][0], core[0][1] * n),)
+    else:
+        _check_room(held, len(core) * n)
+        middle = core * n
+    return letters[:k] + middle + letters[len(letters) - k :]
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """A reduced word.  Construction merges adjacent letters on the same
@@ -112,18 +149,7 @@ class GroupWord:
         return GroupWord(self.alphabet, _inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
-        letters = (self if n >= 0 else self.inverse()).letters
-        n = abs(n)
-        # Split the base as c r c^-1 with r cyclically reduced, so that the
-        # copies of r meet without cancelling and the result is reduced in
-        # one pass over c r^n c^-1.  A one-letter r takes its n-th power as
-        # one letter, so x^n costs nothing per unit of n.
-        k = 0
-        while 2 * k + 1 < len(letters) and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
-            k += 1
-        core = letters[k : len(letters) - k]
-        middle = ((core[0][0], core[0][1] * n),) if len(core) == 1 else core * n
-        return GroupWord(self.alphabet, letters[:k] + middle + letters[len(letters) - k :])
+        return GroupWord(self.alphabet, _power_letters(self.letters, n))
 
     @property
     def is_empty(self) -> bool:
@@ -150,10 +176,6 @@ def generator(alphabet: Alphabet, index: int) -> GroupWord:
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()
-
-
-def conjugate(u: GroupWord, by: GroupWord) -> GroupWord:
-    return by * u * by.inverse()
 
 
 def omega(g: int) -> GroupWord:
@@ -323,6 +345,7 @@ def lcs_weight(w: GroupWord, qmax: int) -> int:
     return qmax if degree is None else degree
 
 
+_GENERATOR = re.compile(r"([xy])([0-9]+)")
 _TOKEN = re.compile(r"\s*(?:([xy][0-9]+)|(\^-?[0-9]+)|(\[)|(\])|(\()|(\))|(,))")
 
 
@@ -355,11 +378,17 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     # the whole word is reduced once at the end.  The operands of a
     # commutator and the base of a power are reduced on the way, because
     # they are copied: letters that cancel are not copied with them.
+    # ``held`` keeps the letter lists of the open sequences and the left
+    # operands of open commutators: what a new term is built on top of.
+    held: List[Sequence[Letter]] = []
+
     def parse_sequence(stop: Tuple[str, ...]) -> List[Letter]:
         out: List[Letter] = []
+        held.append(out)
         while True:
             tok = peek()
             if tok is None or tok in stop:
+                held.pop()
                 return out
             out += parse_term()
 
@@ -369,9 +398,12 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
             left = _reduce_letters(parse_sequence((",",)))
             if take() != ",":
                 raise ValidationError("commutator is missing a comma")
+            held.append(left)
             right = _reduce_letters(parse_sequence(("]",)))
+            held.pop()
             if take() != "]":
                 raise ValidationError("commutator is missing a closing bracket")
+            _check_room(sum(map(len, held)), 2 * (len(left) + len(right)))
             base = left + right + _inverse_letters(left) + _inverse_letters(right)
         elif tok == "(":
             base = tuple(parse_sequence((")",)))
@@ -391,7 +423,7 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
             if len(base) == 1:
                 base = ((base[0][0], base[0][1] * n),)
             else:
-                base = (GroupWord(alphabet, base) ** n).letters
+                base = _power_letters(_reduce_letters(base), n, sum(map(len, held)))
         return base
 
     result = GroupWord(alphabet, tuple(parse_sequence(())))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jfilt.automorphisms import (
     LongitudeTuple,
@@ -37,6 +39,7 @@ from jfilt.automorphisms import (
 from jfilt.brackets import bracket_map, dk_basis, embed_tensor, tensor_from_components
 from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lie import graded_class
+from jfilt.snf import identity_matrix, matmul
 from jfilt.words import (
     FULL,
     X_ONLY,
@@ -78,6 +81,51 @@ def test_constructor_validation():
         NilAut(ab, 3, xs[:3])  # one image per generator
     with pytest.raises(ValidationError):
         NilAut(ab, 3, [xs[0], xs[0], xs[2], xs[3]])  # determinant 0
+
+
+def elementary_product(size, ops):
+    """Identity transformed by row operations: add c times row j to row i,
+    swap rows i and j, or negate row i."""
+    m = identity_matrix(size)
+    for kind, i, j, c in ops:
+        i, j = i % size, j % size
+        if kind == 0 and i != j:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        elif kind == 1:
+            m[i], m[j] = m[j], m[i]
+        elif kind == 2:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def aut_with_abelianization(m, q):
+    ab = Alphabet(len(m) // 2, FULL)
+    images = [GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e)) for row in m]
+    return NilAut(ab, q, images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)),
+        max_size=10,
+    ),
+)
+def test_unimodular_abelianizations_build_and_invert(g, q, ops):
+    m = elementary_product(2 * g, ops)
+    h = aut_with_abelianization(m, q)
+    inverse = invert_aut(h)
+    ident = identity_matrix(2 * g)
+    assert matmul(inverse.abelianization(), h.abelianization()) == ident
+    assert matmul(h.abelianization(), inverse.abelianization()) == ident
+    doubled = [[2 * e for e in m[0]]] + m[1:]
+    with pytest.raises(ValidationError):
+        aut_with_abelianization(doubled, q)
+    zeroed = [[0] * (2 * g)] + m[1:]
+    with pytest.raises(ValidationError):
+        aut_with_abelianization(zeroed, q)
 
 
 def test_apply_is_substitution():

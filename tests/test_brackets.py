@@ -12,7 +12,6 @@ from jfilt.brackets import (
     bracket_matrix,
     dk_basis,
     dk_rank,
-    dk_table,
     embed_tensor,
     map_tensor_first,
     map_tensor_second,
@@ -112,18 +111,6 @@ def test_a1_dimension_pairs():
     assert a1_dimensions(1) == (0, 4)
     assert a1_dimensions(2) == (4, 11)
     assert a1_dimensions(3) == (20, 22)
-
-
-def test_dk_table_rows():
-    rows = dk_table([(4, 1), (3, 2)])
-    assert rows[0] == {
-        "n": 4,
-        "k": 1,
-        "tensor_dim": 4 * witt_dimension(4, 2),
-        "target_dim": witt_dimension(4, 3),
-        "kernel_rank": 4,
-    }
-    assert rows[1]["kernel_rank"] == 6
 
 
 def test_component_roundtrip():

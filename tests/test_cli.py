@@ -3,9 +3,18 @@ rendering, flag placement, the degree cap, and round-tripping of emitted
 documents through the library parsers."""
 
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import jfilt.lagrangian
+import jfilt.orientation
 from jfilt.automorphisms import (
     aut_from_json,
     aut_to_json,
@@ -27,7 +36,7 @@ from jfilt.automorphisms import (
     Y_ONLY,
 )
 from jfilt.brackets import dk_basis, dk_rank, tensor_from_json, tensor_to_json
-from jfilt.cli import run
+from jfilt.cli import _build_parser, run
 from jfilt.lagrangian import jl_element
 from jfilt.lie import witt_dimension
 from jfilt.trees import clasper_to_json, make_graph, tree_to_dk
@@ -269,6 +278,34 @@ def test_gap_table_json(capsys):
     assert all(r["match"] for r in rows)
 
 
+def test_gap_table_exits_1_when_a_closed_form_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(jfilt.lagrangian, "gap_closed_form", lambda g, k: -1)
+    code, out, err = invoke(capsys, "lagrangian", "gap-table", "--gmax", "3", "--kmax", "1")
+    assert code == 1
+    assert [r["match"] for r in json.loads(out)] == [False, False]
+    assert "2 rows disagree" in err
+
+
+def test_graph_census(capsys, tmp_path, monkeypatch):
+    code, out, _ = invoke(capsys, "graph", "census", "--tmax", "3")
+    assert code == 0
+    assert json.loads(out) == [
+        {"trivalent": 1, "orientable": 1, "not_orientable": 1},
+        {"trivalent": 2, "orientable": 5, "not_orientable": 1},
+        {"trivalent": 3, "orientable": 25, "not_orientable": 3},
+    ]
+    code, out, _ = invoke(capsys, "graph", "census", "--tmax", "2", "--csv")
+    assert code == 0
+    assert out.splitlines() == ["trivalent,orientable,not_orientable", "1,1,1", "2,5,1"]
+    path = write_json(tmp_path, "theta.json", theta_payload())
+    assert invoke(capsys, "graph", "census", path)[0] == 2
+    assert invoke(capsys, "graph", "orient")[0] == 2
+    monkeypatch.setattr(jfilt.orientation, "count_valid_orientations", lambda g: 0)
+    code, _, err = invoke(capsys, "graph", "census", "--tmax", "2")
+    assert code == 1
+    assert "6 graphs disagree" in err  # the orientable ones
+
+
 def test_graph_orient_theta(capsys, tmp_path):
     path = write_json(tmp_path, "theta.json", theta_payload())
     code, out, _ = invoke(capsys, "graph", "orient", path)
@@ -301,6 +338,48 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "aut", "invert", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_hostile_power_exits_2_quickly_without_building_it(tmp_path):
+    # 20 bytes asking for 2 * 10^8 letters.  The child's address space is
+    # capped so that building them would fail rather than take the host's
+    # memory.
+    payload = {"g": 1, "q": 3, "images": {"x1": "(x1 y1)^100000000", "y1": "y1"}}
+    path = write_json(tmp_path, "hostile.json", payload)
+    src = os.path.dirname(os.path.dirname(jfilt.__file__))
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jfilt.cli", "aut", "degree", path],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "would exceed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "scripts/" not in readme
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    parser = _build_parser()
+    commands = []
+    for line in block.splitlines():
+        argv = re.sub(r"\[[^\]]*\]", "", line.split("#", 1)[0]).split()
+        if argv and argv[0] == "jfilt":
+            commands.append(argv)
+    assert len(commands) >= 20
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail("README line does not parse: %s" % " ".join(argv))
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -12,7 +12,6 @@ from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lie import (
     LieElement,
     basis_expansion,
-    bracket_string,
     dynkin_image,
     embed_lie,
     generator_element,
@@ -20,9 +19,7 @@ from jfilt.lie import (
     group_bracketing,
     hall_basis,
     lie_bracket,
-    lie_from_json,
     lie_map,
-    lie_to_json,
     lie_to_tensor,
     lift_lie_element,
     lyndon_words,
@@ -207,11 +204,3 @@ def test_lie_map_identity_and_swap():
     assert lie_map(ident, elem, 2) == elem
     swap = ((0, 1), (1, 0))
     assert lie_map(swap, elem, 2) == -elem
-
-
-def test_bracket_string_and_json_round_trip():
-    elem = lie_bracket(generator_element(2, 0), lie_bracket(generator_element(2, 0), generator_element(2, 1)))
-    assert bracket_string(elem, Y2) == "[y1,[y1,y2]]"
-    data = lie_to_json(elem)
-    assert lie_from_json(data) == elem
-    assert bracket_string(LieElement.zero(2, 2), Y2) == "0"

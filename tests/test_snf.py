@@ -7,13 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jfilt.snf import (
-    determinant_unimodular,
     identity_matrix,
     integer_rank,
     matmul,
     smith_normal_form,
     transpose,
 )
+
+
+def determinant_unimodular(m):
+    """Exact determinant (Bareiss): the check, independent of the Smith form,
+    that its transforms are unimodular."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(map(int, row)) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def diag_matrix(rows, cols, diagonal):

@@ -20,7 +20,6 @@ from jfilt.trees import (
     random_labeled_tree,
     rooted_bracket,
     span_check,
-    to_dot,
     tree_to_dk,
     tripod,
     validate,
@@ -241,11 +240,3 @@ def test_json_bad_payload():
         clasper_from_json({"vertices": "nope"})
     with pytest.raises(ValidationError):
         clasper_from_json({"vertices": [{"id": "a", "arity": "trivalent"}], "edges": [["a0", "a.1"]]})
-
-
-def test_dot_output():
-    text = to_dot(tripod(2, 0, 1, (1, -1)), names=("u", "v"))
-    assert text.startswith("graph clasper {")
-    assert '"s" [shape=point];' in text
-    assert "+1u -1v" in text
-    assert '"s" -- "l0";' in text

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jfilt import words
 from jfilt.errors import PreconditionError, ValidationError
 from jfilt.words import (
     Alphabet,
@@ -294,6 +295,33 @@ def test_parse_rejects_malformed_input():
     for text in ("x0", "z1", "[x1 y1]", "x1^", "(x1", "x9", "x1]", "x1^" + "9" * 5000):
         with pytest.raises(ValidationError):
             parse_word(text, FULL2)
+
+
+def test_power_and_commutator_growth_is_capped(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 100)
+    assert len(parse_word("(x1 y1)^50", FULL2).letters) == 100
+    # A power of a conjugate of one letter adds one letter for any exponent.
+    assert len(parse_word("(x1 y1 x1^-1)^%d x2^%d" % (10**15, 10**15), FULL2).letters) == 4
+    # The letters of a closed group count once, not once per nesting level.
+    assert len(parse_word("((x1 y1)^30 x2) (x1 y2)^19", FULL2).letters) == 99
+    nested = "[x1,y1]"
+    for _ in range(4):
+        nested = "[%s,x2]" % nested
+    parse_word(nested, FULL2)  # builds 4, 10, 22, 46 and 94 letters
+    x1, y1 = generator(FULL2, 0), generator(FULL2, 2)
+    for refused in (
+        lambda: parse_word("(x1 y1)^51", FULL2),
+        lambda: parse_word("(x1 y1)^-51", FULL2),
+        lambda: parse_word("(x1 y1)^30 (x1 y1)^21", FULL2),
+        lambda: parse_word("((x1 y1)^30 x2) (x1 y2)^20", FULL2),
+        lambda: parse_word("[%s,x2]" % nested, FULL2),
+        lambda: (x1 * y1) ** 51,
+    ):
+        with pytest.raises(ValidationError):
+            refused()
+    # The left operand of an open commutator counts while the right is built.
+    with pytest.raises(ValidationError, match="60 built, 60 more"):
+        parse_word("[(x1 y1)^30, (x1 y2)^30 x2]", FULL2)
 
 
 def test_projection_and_embedding():
