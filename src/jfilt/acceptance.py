@@ -38,7 +38,7 @@ from .brackets import (
     embed_tensor,
     tensor_from_components,
 )
-from .lagrangian import cocycle_check, gap_closed_form, jl_element, lagrangian_degree, pure_braid_rank
+from .lagrangian import cocycle_check, jl_element, lagrangian_degree, pure_braid_rank
 from .lie import generator_element, graded_class, lie_bracket
 from .orientation import census
 from .trees import (

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, tensor_from_components
-from .errors import PreconditionError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import LieElement, tensor_to_lyndon
 from .snf import Matrix, matmul, smith_normal_form, transpose
 from .words import (
@@ -36,6 +36,8 @@ from .words import (
     Y_ONLY,
     Alphabet,
     GroupWord,
+    _inverse_letters,
+    _power_letters,
     embed_word,
     generator,
     lcs_weight,
@@ -84,11 +86,14 @@ class NilAut:
             raise ValidationError("word over the wrong alphabet")
         letters: List[Tuple[int, int]] = []
         for gen, exp in w.letters:
-            image = self.images[gen]
-            if exp < 0:
-                image = image.inverse()
-                exp = -exp
-            letters.extend(image.letters * exp)
+            image = self.images[gen].letters
+            if exp == 1:
+                letters.extend(image)
+            elif exp == -1:
+                letters.extend(_inverse_letters(image))
+            else:
+                # Refused before it is built if it would pass MAX_WORD_LETTERS.
+                letters.extend(_power_letters(image, exp, held=len(letters)))
         return GroupWord(self.alphabet, tuple(letters))
 
     def __eq__(self, other) -> bool:
@@ -174,7 +179,7 @@ def invert_aut(h: NilAut) -> NilAut:
             corr_images.append(z * w_z.inverse())
         g = compose(g, NilAut(ab, h.level, corr_images))
     else:
-        raise AssertionError("inverse iteration failed to converge")
+        raise InvariantError("inverse iteration failed to converge")
     if h._aut0_known is True:
         # The boundary stabilizer is closed under inversion.
         g._aut0_known = True
@@ -229,8 +234,8 @@ def johnson_element(h: NilAut, k: int) -> TensorElement:
     The generator displacements ``d(z) = class of h(z)z^-1 in degree k+1``
     are paired into a tensor by the alternating form (<x_i, y_i> = +1); the
     global sign is frozen so that the x-pushing family ``phi_hat`` maps a
-    tuple straight to ``sum_i y_i (x) [lambda_i]``.  The result is asserted
-    to lie in the contraction kernel.
+    tuple straight to ``sum_i y_i (x) [lambda_i]``.  The result is checked
+    to lie in the contraction kernel (``InvariantError`` otherwise).
     """
     if k < 1:
         raise PreconditionError("johnson_element: k must be at least 1")
@@ -255,7 +260,8 @@ def johnson_element(h: NilAut, k: int) -> TensorElement:
         parts[g + i] = displacements[i]  # y_i (x) d(x_i)
         parts[i] = -displacements[g + i]  # - x_i (x) d(y_i)
     out = tensor_from_components(n, k, parts)
-    assert bracket_map(out).is_zero, "obstruction tensor escaped the contraction kernel"
+    if not bracket_map(out).is_zero:
+        raise InvariantError("obstruction tensor escaped the contraction kernel")
     return out
 
 
@@ -401,7 +407,8 @@ def psi_hat(t: LongitudeTuple, q: Optional[int] = None) -> NilAut:
         images.append(mus[i] * generator(full, g + i))
     h = NilAut(full, q, images)
     _, symplectic_ok = symplectic_matrix(h)
-    assert symplectic_ok, "valid x-kind tuple produced a non-symplectic framing"
+    if not symplectic_ok:
+        raise InvariantError("valid x-kind tuple produced a non-symplectic framing")
     return h
 
 

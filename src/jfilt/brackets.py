@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .lie import (
     LieElement,
     embed_lie,
@@ -173,8 +173,8 @@ def dk_basis(n: int, k: int) -> List[TensorElement]:
     dec = smith_normal_form(matrix)
     out = [TensorElement(n, k, tuple(vec)) for vec in dec.kernel_basis()]
     for elem in out:
-        image = bracket_map(elem)
-        assert image.is_zero, "kernel basis vector fails the contraction"
+        if not bracket_map(elem).is_zero:
+            raise InvariantError("kernel basis vector fails the contraction")
     return out
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a check the command runs fails (``selftest``,
 ``lagrangian gap-table``, ``graph census``), 2 on validation problems
 (malformed input, graphs that fail structural checks, trees handed to the
-orienter), 3 on violated operation preconditions.  Output is JSON in canonical key order by default,
-CSV with ``--csv``; ``--out`` redirects to a file.  The environment variable
+orienter), 3 on violated operation preconditions, 4 when a result fails an
+internal invariant check (a bug).  Output is JSON in canonical key order by
+default, CSV with ``--csv``; ``--out`` redirects to a file.  The environment variable
 ``JFILT_MAX_DEGREE`` (default 8) caps every level/degree argument so a typo
 cannot start an astronomically large computation.
 """
@@ -35,7 +36,7 @@ from .automorphisms import (
     tuple_to_json,
 )
 from .brackets import a1_dimensions, dk_basis, dk_rank, tensor_to_json
-from .errors import NotOrientable, PreconditionError, ValidationError
+from .errors import InvariantError, NotOrientable, PreconditionError, ValidationError
 from .lagrangian import gap_table, jl_element, lagrangian_degree, cocycle_check
 from .lie import witt_dimension
 from .orientation import (
@@ -63,6 +64,13 @@ def _check_degree(value: int, name: str) -> int:
             "%s = %d exceeds JFILT_MAX_DEGREE = %d" % (name, value, cap)
         )
     return value
+
+
+def _k_or_default(k: Optional[int], h, degree) -> int:
+    """``--k`` if given, else ``degree(h)`` kept within 1..level-2; capped."""
+    if k is None:
+        k = max(min(degree(h), h.level - 2), 1)
+    return _check_degree(k, "k")
 
 
 def _load_json(path: str) -> dict:
@@ -197,6 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once; JFILT_MAX_DEGREE is read when a value is checked, not here.
+_PARSER = _build_parser()
+
+
 def _cmd_tree(args) -> None:
     if args.action == "image":
         if len(args.args) != 1:
@@ -233,10 +245,7 @@ def _cmd_aut(args) -> None:
     elif args.action == "degree":
         _emit({"filtration_degree": filtration_degree(h)}, args)
     else:  # johnson
-        k = args.k
-        if k is None:
-            k = max(min(filtration_degree(h), h.level - 2), 1)
-        _check_degree(k, "k")
+        k = _k_or_default(args.k, h, filtration_degree)
         tensor = johnson_element(h, k)
         _emit({"k": k, "tensor": tensor_to_json(tensor)}, args)
 
@@ -253,10 +262,7 @@ def _cmd_stringlink(args) -> None:
         raise ValidationError("stringlink %s takes exactly one file" % args.action)
     if args.action == "extract":
         h = _load_aut(args.files[0], args.level)
-        k = args.k
-        if k is None:
-            k = max(min(filtration_degree(h), h.level - 2), 1)
-        _check_degree(k, "k")
+        k = _k_or_default(args.k, h, filtration_degree)
         _emit(tuple_to_json(extract_longitudes(h, k)), args)
         return
     t = tuple_from_json(_load_json(args.files[0]))
@@ -298,10 +304,7 @@ def _cmd_lagrangian(args) -> int:
     if args.action == "degree":
         _emit({"lagrangian_degree": lagrangian_degree(h)}, args)
     else:  # jl
-        k = args.k
-        if k is None:
-            k = max(min(lagrangian_degree(h), h.level - 2), 1)
-        _check_degree(k, "k")
+        k = _k_or_default(args.k, h, lagrangian_degree)
         report = jl_element(h, k)
         _emit(
             {
@@ -355,8 +358,7 @@ def _cmd_selftest(args) -> int:
 
 
 def run(argv: List[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "witt":
             _check_degree(args.k, "k")
@@ -400,6 +402,9 @@ def run(argv: List[str]) -> int:
     except PreconditionError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print("internal check failed: %s" % exc, file=sys.stderr)
+        return 4
     return 0
 
 

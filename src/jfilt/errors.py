@@ -2,8 +2,9 @@
 
 ValidationError covers malformed input: bad words, bad graphs, mismatched
 alphabets or levels.  PreconditionError covers structurally valid input that
-violates a documented precondition of an operation.  The command line driver
-maps them to exit codes 2 and 3 respectively.
+violates a documented precondition of an operation.  InvariantError is a
+result failing a check the mathematics guarantees: a bug, not bad input.
+The ``jfilt`` command maps the three to exit codes 2, 3 and 4.
 """
 
 
@@ -12,6 +13,10 @@ class ValidationError(ValueError):
 
 
 class PreconditionError(ValueError):
+    pass
+
+
+class InvariantError(RuntimeError):
     pass
 
 

@@ -33,9 +33,9 @@ from .brackets import (
     map_tensor_second,
     tensor_from_components,
 )
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lie import graded_class, witt_dimension
-from .snf import Matrix, transpose
+from .snf import Matrix, identity_matrix, transpose
 from .words import lcs_weight, project_y
 
 __all__ = [
@@ -99,15 +99,15 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
     g = h.genus
     classes = {i: graded_class(project_y(h.images[i]), k + 1) for i in range(g)}
     value = tensor_from_components(g, k, classes)
-    identity = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
-    in_hat = _y_block(h) == identity
+    in_hat = _y_block(h) == identity_matrix(g)
     if in_hat and h._aut0_known is True:
         # Kernel membership is a theorem for boundary-fixing elements with
         # trivial induced action; it can genuinely fail without the boundary
         # hypothesis (e.g. compose a conjugating family member with the
-        # transvection x1 -> x1 x2), so the assertion only runs when the
+        # transvection x1 -> x1 x2), so the check only runs when the
         # boundary property is already established.
-        assert bracket_map(value).is_zero, "hat-type obstruction left the kernel"
+        if not bracket_map(value).is_zero:
+            raise InvariantError("hat-type obstruction left the kernel")
     return LagrangianReport(g, k, value, in_hat)
 
 

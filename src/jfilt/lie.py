@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .errors import PreconditionError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError
 from .words import Alphabet, GroupWord, magnus_expand
 
 Monomial = Tuple[int, ...]
@@ -46,7 +46,8 @@ def witt_dimension(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValidationError("witt_dimension needs n >= 1 and k >= 1")
     total = sum(_mobius(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0)
-    assert total % k == 0
+    if total % k != 0:
+        raise InvariantError("Witt sum %d is not divisible by k = %d" % (total, k))
     return total // k
 
 
@@ -114,13 +115,14 @@ class HallBasis:
 @lru_cache(maxsize=None)
 def hall_basis(n: int, degree: int) -> HallBasis:
     words = lyndon_words(n, degree)
-    assert len(words) == witt_dimension(n, degree)
+    if len(words) != witt_dimension(n, degree):
+        raise InvariantError("Lyndon word count differs from the Witt dimension")
     for w in words:
         expansion = basis_expansion(w)
         # Triangularity: the word itself has coefficient 1 and every other
         # monomial in the expansion is lexicographically larger.
-        assert expansion.get(w) == 1
-        assert all(m == w or m > w for m in expansion)
+        if expansion.get(w) != 1 or not all(m == w or m > w for m in expansion):
+            raise InvariantError("expansion of Lyndon word %r is not unitriangular" % (w,))
     return HallBasis(n, degree, words)
 
 

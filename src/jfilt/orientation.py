@@ -20,9 +20,9 @@ assignments.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .errors import NotOrientable, PreconditionError, ValidationError
+from .errors import InvariantError, NotOrientable, PreconditionError, ValidationError
 from .trees import (
     TRIVALENT,
     UNIVALENT,
@@ -110,7 +110,8 @@ def orient(g: ClasperGraph) -> Orientation:
             queue.append(head_half[0])
 
     problems = verify_orientation(g, orientation)
-    assert not problems, "; ".join(problems)
+    if problems:
+        raise InvariantError("; ".join(problems))
     return orientation
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jfilt.words
+
 from jfilt.automorphisms import (
     LongitudeTuple,
     NilAut,
@@ -136,6 +138,44 @@ def test_apply_is_substitution():
     assert h.apply(w) == h.apply(x1) * h.apply(y1) * h.apply(x1).inverse()
     assert h.apply(x1.inverse()) == h.apply(x1).inverse()
     assert h.apply(GroupWord(ab)).is_empty
+
+
+def test_apply_matches_repeated_images_and_is_capped(monkeypatch):
+    def repeated(h, w):
+        # The letters of every image repeated |exp| times, reduced once.
+        letters = []
+        for gen, exp in w.letters:
+            image = h.images[gen] if exp > 0 else h.images[gen].inverse()
+            letters.extend(image.letters * abs(exp))
+        return GroupWord(h.alphabet, tuple(letters))
+
+    rng = random.Random(11)
+    ab = Alphabet(2, FULL)
+    gens = [generator(ab, i) for i in range(4)]
+    for _ in range(40):
+        images = list(gens)
+        for _ in range(3):
+            i, j = rng.sample(range(4), 2)
+            # Conjugating or multiplying one image by another stays invertible,
+            # and conjugation builds images that cancel cyclically.
+            images[i] = (images[j] * images[i] if rng.random() < 0.5
+                         else images[j] * images[i] * images[j].inverse())
+        h = NilAut(ab, 3, images)
+        w = GroupWord(ab, tuple((rng.randrange(4), rng.choice((-3, -2, -1, 1, 2, 3)))
+                                for _ in range(rng.randint(0, 6))))
+        assert h.apply(w).letters == repeated(h, w).letters
+
+    monkeypatch.setattr(jfilt.words, "MAX_WORD_LETTERS", 100)
+    x1, y1 = gens[0], gens[2]
+    h = NilAut(ab, 3, [x1 * y1] + gens[1:])  # x1 -> x1 y1
+    assert len(h.apply(x1 ** 50).letters) == 100
+    # Letters already built count against the cap.
+    for refused in (x1 ** 51, x1 ** -51, y1 * x1 ** 50):
+        with pytest.raises(ValidationError):
+            h.apply(refused)
+    # A conjugate of one letter adds one letter for any exponent.
+    conj = NilAut(ab, 3, [y1 * x1 * y1.inverse()] + gens[1:])
+    assert len(conj.apply(x1 ** 10**15).letters) == 3
 
 
 def test_semantic_equality_ignores_deep_commutators():

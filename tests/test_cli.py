@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import jfilt.brackets
+import jfilt.cli
 import jfilt.lagrangian
 import jfilt.orientation
 from jfilt.automorphisms import (
@@ -38,7 +40,7 @@ from jfilt.automorphisms import (
 from jfilt.brackets import dk_basis, dk_rank, tensor_from_json, tensor_to_json
 from jfilt.cli import _build_parser, run
 from jfilt.lagrangian import jl_element
-from jfilt.lie import witt_dimension
+from jfilt.lie import LieElement, witt_dimension
 from jfilt.trees import clasper_to_json, make_graph, tree_to_dk
 
 
@@ -117,6 +119,20 @@ def test_degree_cap_default_and_override(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "witt", "4", "9")
     assert code == 0
     assert out.strip() == str(witt_dimension(4, 9)) == "29120"
+
+
+def test_parser_is_built_once_and_reads_the_cap_per_call(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("run rebuilt the parser")
+
+    monkeypatch.setattr(jfilt.cli, "_build_parser", rebuilt)
+    for cap, code in (("4", 3), ("5", 0), ("4", 3)):
+        monkeypatch.setenv("JFILT_MAX_DEGREE", cap)
+        assert invoke(capsys, "witt", "4", "5")[0] == code
+    # Flags of one call do not leak into the next.
+    assert invoke(capsys, "dk", "rank", "4", "2", "--csv")[1].startswith("k,2")
+    code, out, _ = invoke(capsys, "dk", "rank", "4", "2")
+    assert code == 0 and json.loads(out)["rank"] == dk_rank(4, 2)
 
 
 def test_dk_rank_json_and_flag_positions(capsys):
@@ -362,6 +378,59 @@ def test_hostile_power_exits_2_quickly_without_building_it(tmp_path):
     assert "would exceed" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 1.0
+
+
+def test_hostile_exponent_in_compose_exits_2_without_building_it(tmp_path):
+    # x1 -> x1 y1 applied to y1 x1^100000000 asks for 2 * 10^8 letters.
+    first = write_json(tmp_path, "a.json", {"g": 1, "q": 3, "images": {"x1": "x1 y1", "y1": "y1"}})
+    second = write_json(
+        tmp_path, "b.json", {"g": 1, "q": 3, "images": {"x1": "x1", "y1": "y1 x1^100000000"}}
+    )
+    src = os.path.dirname(os.path.dirname(jfilt.__file__))
+    limit = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jfilt.cli", "aut", "compose", first, second],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "would exceed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_selftest_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(jfilt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "jfilt.cli", "selftest"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("CRITERION")]
+    assert len(lines) == 10
+    assert all(" PASS " in l for l in lines)
+
+
+def test_failed_invariant_exits_4_without_traceback(capsys, monkeypatch):
+    def broken(t):
+        coords = [0] * witt_dimension(t.n, t.level + 2)
+        coords[0] = 1
+        return LieElement(t.n, t.level + 2, tuple(coords))
+
+    monkeypatch.setattr(jfilt.brackets, "bracket_map", broken)
+    code, out, err = invoke(capsys, "dk", "basis", "3", "1")
+    assert code == 4
+    assert out == ""
+    assert "kernel basis vector fails the contraction" in err
+    assert "Traceback" not in err
 
 
 def test_readme_cli_block_parses():

@@ -1,11 +1,15 @@
 """Tests for the exact Smith normal form and kernel extraction."""
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jfilt.brackets import bracket_matrix, dk_basis
 from jfilt.snf import (
     identity_matrix,
     integer_rank,
@@ -37,6 +41,36 @@ def determinant_unimodular(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rational_rank(matrix):
+    """Rank over Q by Gaussian elimination over ``Fraction``: the reference,
+    independent of the Smith form, for ``integer_rank``."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < cols:
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / pval
+                rows[i] = [rows[i][j] - factor * prow[j] for j in range(cols)]
+        rank += 1
+        col += 1
+    return rank
 
 
 def diag_matrix(rows, cols, diagonal):
@@ -124,13 +158,60 @@ def test_divisibility_chain_forced():
     assert dec.diagonal == [1, 6]
 
 
-def test_integer_rank_matches_snf():
+def test_integer_rank_matches_rational_elimination():
     rng = random.Random(7)
-    for _ in range(25):
+    for _ in range(60):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        assert integer_rank(a) == rational_rank(a)
+    # Tall and rank-deficient, the shape of a tree span: many integer
+    # combinations of a few sparse +-1 rows.
+    for _ in range(20):
+        cols = rng.randint(3, 12)
+        gens = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
+                for _ in range(rng.randint(1, cols))]
+        a = [[sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(cols)]
+             for coeffs in ([rng.randint(-2, 2) for _ in gens] for _ in range(40))]
+        assert integer_rank(a) == rational_rank(a)
+    # Every entry a multiple of 2 or 3: no unit pivot at the start, so the
+    # divisibility scan runs.
+    for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert integer_rank(a) == smith_normal_form(a).rank
+        a = [[rng.choice((2, 3, 6)) * rng.randint(-5, 5) for _ in range(cols)]
+             for _ in range(rows)]
+        assert integer_rank(a) == rational_rank(a)
+        check_decomposition(a)
+    assert integer_rank([]) == rational_rank([]) == 0
+    assert integer_rank(bracket_matrix(4, 2)) == rational_rank(bracket_matrix(4, 2)) == 60
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of the compact JSON of dk_basis coordinates and of the Smith form of
+# bracket_matrix(4, 2).  kernel_lift_tuple and `jfilt dk basis` index this
+# basis, so a faster Smith form must leave it exactly as it is.
+DK_BASIS_DIGESTS = {
+    (4, 1): "f81c0c4821fac2d5b2a6814f0720500cc56ea7a1c54fe0bf8480246c3ff23ee8",
+    (5, 1): "b21b28a6cf0f881292173fa587dbaf9fb6843270bf6173e466b291f365a55a2b",
+    (3, 2): "723f9d7002507ca87ad6dbaf25b9be7cd741fa8e15444b3597a1a2403da1d584",
+    (4, 2): "541981ca7be8251ec69e3870f85add02b0545a9763b8931835daa22374482069",
+    (3, 3): "5f6c3e7aa073f2511955ab7841b814b724a4a34dd616e66a964bc843c31982ae",
+    (5, 2): "e52419d60bee650b656c03b556ab5bac395f03e643e006a870a373b303a829fa",
+}
+BRACKET_4_2_SNF_DIGEST = (
+    "80e803ace4db1602ad92c3deaf641a3ac67e584f4671a808a2c824324b2ee54b"
+)
+
+
+def test_kernel_basis_and_transforms_are_pinned():
+    for (n, k), digest in DK_BASIS_DIGESTS.items():
+        assert _digest([list(t.coords) for t in dk_basis(n, k)]) == digest, (n, k)
+    dec = smith_normal_form(bracket_matrix(4, 2))
+    assert _digest([dec.U, dec.V, dec.diagonal]) == BRACKET_4_2_SNF_DIGEST
 
 
 @settings(max_examples=60, deadline=None)

@@ -171,6 +171,7 @@ def test_span_check_values():
     assert span_check(3, 1) == (1, 1)
     assert span_check(4, 1) == (4, 4)
     assert span_check(3, 2) == (6, 6)
+    assert span_check(4, 2) == (20, 20)
 
 
 def test_span_check_bounds():
