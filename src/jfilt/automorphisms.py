@@ -36,8 +36,6 @@ from .words import (
     Y_ONLY,
     Alphabet,
     GroupWord,
-    _inverse_letters,
-    _power_letters,
     embed_word,
     generator,
     lcs_weight,
@@ -47,6 +45,7 @@ from .words import (
     parse_word,
     project_y,
     render_word,
+    substitute,
 )
 
 class NilAut:
@@ -84,17 +83,7 @@ class NilAut:
     def apply(self, w: GroupWord) -> GroupWord:
         if w.alphabet != self.alphabet:
             raise ValidationError("word over the wrong alphabet")
-        letters: List[Tuple[int, int]] = []
-        for gen, exp in w.letters:
-            image = self.images[gen].letters
-            if exp == 1:
-                letters.extend(image)
-            elif exp == -1:
-                letters.extend(_inverse_letters(image))
-            else:
-                # Refused before it is built if it would pass MAX_WORD_LETTERS.
-                letters.extend(_power_letters(image, exp, held=len(letters)))
-        return GroupWord(self.alphabet, tuple(letters))
+        return substitute(w, self.images)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NilAut):
@@ -315,15 +304,9 @@ def conjugation_action(t: LongitudeTuple, w: GroupWord) -> GroupWord:
     """The substitution ``z_i -> lambda_i^-1 z_i lambda_i`` applied to ``w``."""
     if w.alphabet != t.alphabet:
         raise ValidationError("word over the wrong alphabet")
-    letters: List[Tuple[int, int]] = []
-    for gen, exp in w.letters:
-        lam = t.entries[gen]
-        image = lam.inverse() * generator(t.alphabet, gen) * lam
-        if exp < 0:
-            image = image.inverse()
-            exp = -exp
-        letters.extend(image.letters * exp)
-    return GroupWord(t.alphabet, tuple(letters))
+    ab = t.alphabet
+    images = [lam.inverse() * generator(ab, i) * lam for i, lam in enumerate(t.entries)]
+    return substitute(w, images)
 
 
 def strand_product(t: LongitudeTuple) -> GroupWord:
@@ -501,7 +484,6 @@ def kernel_lift_tuple(
     k: int,
     coefficients: Sequence[int],
     kind: str = Y_ONLY,
-    level: Optional[int] = None,
 ) -> LongitudeTuple:
     """Tuple with entries of weight ``k+1`` realizing a contraction-kernel
     class: pick an integer combination of the level-``k`` kernel basis and
@@ -524,7 +506,7 @@ def kernel_lift_tuple(
             elem = elem + b.scale(c)
     ab = Alphabet(g, kind)
     entries = tuple(lift_lie_element(elem.component(i), ab) for i in range(g))
-    return LongitudeTuple(g, k + 2 if level is None else level, kind, entries)
+    return LongitudeTuple(g, k + 2, kind, entries)
 
 
 def random_kernel_tuple(rng, g: int, k: int, kind: str = Y_ONLY, noise: bool = True) -> LongitudeTuple:

@@ -28,11 +28,14 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvariantError, ValidationError
 from .lie import (
     LieElement,
+    Tensor,
+    basis_expansion,
     embed_lie,
-    generator_element,
     hall_basis,
-    lie_bracket,
     lie_map,
+    lie_to_tensor,
+    tensor_bracket,
+    tensor_to_lyndon,
     witt_dimension,
 )
 from .snf import Matrix, integer_rank, smith_normal_form
@@ -114,13 +117,12 @@ def simple_tensor(n: int, level: int, a: int, elem: LieElement) -> TensorElement
 
 def bracket_map(t: TensorElement) -> LieElement:
     """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
-    out = LieElement.zero(t.n, t.level + 2)
+    out: Tensor = {}
     for a in range(t.n):
         part = t.component(a)
-        if part.is_zero:
-            continue
-        out = out + lie_bracket(generator_element(t.n, a), part)
-    return out
+        if not part.is_zero:
+            tensor_bracket({(a,): 1}, lie_to_tensor(part), out)
+    return tensor_to_lyndon(out, t.n, t.level + 2)
 
 
 def bracket_matrix(n: int, k: int) -> Matrix:
@@ -132,16 +134,12 @@ def bracket_matrix(n: int, k: int) -> Matrix:
     if k < 1:
         raise ValidationError("level must be at least 1")
     rows = witt_dimension(n, k + 2)
-    src = hall_basis(n, k + 1)
-    cols = n * len(src.words)
-    matrix = [[0] * cols for _ in range(rows)]
+    src = hall_basis(n, k + 1).words
+    matrix = [[0] * (n * len(src)) for _ in range(rows)]
     for a in range(n):
-        gen = generator_element(n, a)
-        for j in range(len(src.words)):
-            unit = [0] * len(src.words)
-            unit[j] = 1
-            image = lie_bracket(gen, LieElement(n, k + 1, tuple(unit)))
-            col = a * len(src.words) + j
+        for j, u in enumerate(src):
+            image = tensor_to_lyndon(tensor_bracket({(a,): 1}, basis_expansion(u)), n, k + 2)
+            col = a * len(src) + j
             for r, c in enumerate(image.coords):
                 if c:
                     matrix[r][col] = c

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InvariantError, PreconditionError, ValidationError
 from .words import Alphabet, GroupWord, magnus_expand
@@ -78,24 +78,30 @@ def standard_factorization(w: Monomial) -> Tuple[Monomial, Monomial]:
     return w[: len(w) - len(v)], v
 
 
+def tensor_bracket(left: Tensor, right: Tensor, out: Optional[Tensor] = None) -> Tensor:
+    """``left*right - right*left`` in the tensor algebra, added into ``out``
+    in place when it is given."""
+    if out is None:
+        out = {}
+    for mu, cu in left.items():
+        for mv, cv in right.items():
+            c = cu * cv
+            for key, term in ((mu + mv, c), (mv + mu, -c)):
+                val = out.get(key, 0) + term
+                if val:
+                    out[key] = val
+                elif key in out:
+                    del out[key]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _expand(w: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
     # Tensor algebra expansion of the standard bracketing of a Lyndon word.
     if len(w) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
-    left = dict(_expand(u))
-    right = dict(_expand(v))
-    out: Tensor = {}
-    for mu, cu in left.items():
-        for mv, cv in right.items():
-            for key, sign in ((mu + mv, 1), (mv + mu, -1)):
-                val = out.get(key, 0) + sign * cu * cv
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-    return tuple(sorted(out.items()))
+    return tuple(sorted(tensor_bracket(basis_expansion(u), basis_expansion(v)).items()))
 
 
 def basis_expansion(w: Monomial) -> Tensor:
@@ -176,10 +182,6 @@ def generator_element(n: int, index: int) -> LieElement:
     return LieElement(n, 1, tuple(coords))
 
 
-def vector_element(n: int, vector) -> LieElement:
-    return LieElement(n, 1, tuple(vector))
-
-
 def lie_to_tensor(elem: LieElement) -> Tensor:
     out: Tensor = {}
     basis = hall_basis(elem.n, elem.degree)
@@ -221,18 +223,8 @@ def tensor_to_lyndon(tensor: Tensor, n: int, degree: int) -> LieElement:
 def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
     if u.n != v.n:
         raise ValidationError("mixed ranks")
-    tu = lie_to_tensor(u)
-    tv = lie_to_tensor(v)
-    out: Tensor = {}
-    for mu, cu in tu.items():
-        for mv, cv in tv.items():
-            for key, sign in ((mu + mv, 1), (mv + mu, -1)):
-                val = out.get(key, 0) + sign * cu * cv
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-    return tensor_to_lyndon(out, u.n, u.degree + v.degree)
+    tensor = tensor_bracket(lie_to_tensor(u), lie_to_tensor(v))
+    return tensor_to_lyndon(tensor, u.n, u.degree + v.degree)
 
 
 def graded_class(w: GroupWord, k: int) -> LieElement:
@@ -257,15 +249,7 @@ def dynkin_image(tensor: Tensor) -> Tensor:
     for m, c in tensor.items():
         part: Tensor = {(m[0],): 1} if m else {}
         for letter in m[1:]:
-            nxt: Tensor = {}
-            for pm, pc in part.items():
-                for key, sign in ((pm + (letter,), 1), ((letter,) + pm, -1)):
-                    val = nxt.get(key, 0) + sign * pc
-                    if val:
-                        nxt[key] = val
-                    elif key in nxt:
-                        del nxt[key]
-            part = nxt
+            part = tensor_bracket(part, {(letter,): 1})
         for pm, pc in part.items():
             val = out.get(pm, 0) + c * pc
             if val:

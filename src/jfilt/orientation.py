@@ -28,13 +28,17 @@ from .trees import (
     UNIVALENT,
     ClasperGraph,
     Half,
-    make_graph,
+    assemble_unitrivalent,
     render_half,
     validate,
 )
 
 # edge index -> (tail half, head half)
 Orientation = Dict[int, Tuple[Half, Half]]
+
+# The most edges whose 2^E directions ``count_valid_orientations`` tries;
+# ``census`` keeps every graph it enumerates within it.
+MAX_BRUTE_FORCE_EDGES = 16
 
 __all__ = [
     "Orientation",
@@ -143,9 +147,10 @@ def count_valid_orientations(g: ClasperGraph) -> int:
     if not info.connected:
         raise ValidationError("graph must be connected")
     n_edges = len(g.edges)
-    if n_edges > 16:
+    if n_edges > MAX_BRUTE_FORCE_EDGES:
         raise PreconditionError(
-            "count_valid_orientations: %d edges exceeds the bound of 16" % n_edges
+            "count_valid_orientations: %d edges exceeds the bound of %d"
+            % (n_edges, MAX_BRUTE_FORCE_EDGES)
         )
     count = 0
     for mask in range(1 << n_edges):
@@ -197,30 +202,6 @@ def _connected_internal(t: int, mults: Dict[Tuple[int, int], int]) -> bool:
     return len({find(v) for v in range(t)}) == 1
 
 
-def _assemble_graph(t: int, mults: Dict[Tuple[int, int], int]) -> ClasperGraph:
-    vertices = {"t%d" % i: TRIVALENT for i in range(t)}
-    next_slot = [0] * t
-    edges = []
-    for (a, b) in sorted(mults):
-        for _ in range(mults[(a, b)]):
-            ha = ("t%d" % a, next_slot[a])
-            next_slot[a] += 1
-            hb = ("t%d" % b, next_slot[b])
-            next_slot[b] += 1
-            edges.append((ha, hb))
-    labels = {}
-    leaf = 0
-    for i in range(t):
-        while next_slot[i] < 3:
-            lid = "l%d" % leaf
-            vertices[lid] = UNIVALENT
-            labels[lid] = (1,)
-            edges.append((("t%d" % i, next_slot[i]), (lid, 0)))
-            next_slot[i] += 1
-            leaf += 1
-    return make_graph(1, vertices, edges, labels)
-
-
 def enumerate_unitrivalent(max_trivalent: int) -> Iterator[ClasperGraph]:
     """Every connected unitrivalent multigraph with 1..max_trivalent labeled
     trivalent vertices: all loop/multi-edge patterns with internal degree at
@@ -254,7 +235,8 @@ def enumerate_unitrivalent(max_trivalent: int) -> Iterator[ClasperGraph]:
 
         for mults in rec(0, {}):
             if _connected_internal(t, mults):
-                yield _assemble_graph(t, mults)
+                edges = [pair for pair in sorted(mults) for _ in range(mults[pair])]
+                yield assemble_unitrivalent(1, t, edges, [0] * (3 * t - 2 * len(edges)))
 
 
 def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
@@ -266,6 +248,14 @@ def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
     ``orient`` succeeding, a cycle and a positive brute-force count do not
     all agree; that list is empty when the criterion holds.
     """
+    # A connected graph with t trivalent vertices has at most 2t + 1 edges,
+    # as many as a tree with t + 2 leaves; each graph is brute-forced.
+    most_edges = 2 * max_trivalent + 1
+    if most_edges > MAX_BRUTE_FORCE_EDGES:
+        raise PreconditionError(
+            "census: graphs with %d trivalent vertices have up to %d edges, past the "
+            "brute-force bound of %d" % (max_trivalent, most_edges, MAX_BRUTE_FORCE_EDGES)
+        )
     rows: Dict[int, Dict[str, int]] = {}
     mismatches: List[int] = []
     for g in enumerate_unitrivalent(max_trivalent):

@@ -104,7 +104,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Compute ``U A V = D`` with unimodular ``U``, ``V`` and SNF diagonal ``D``."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    work = [list(map(int, row)) for row in matrix]
+    work = [list(row) for row in matrix]
     for row in work:
         if len(row) != cols:
             raise ValueError("ragged matrix")

@@ -26,11 +26,11 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_rank
 from .errors import InvariantError, PreconditionError, ValidationError
-from .lie import LieElement, lie_bracket, vector_element, witt_dimension
+from .lie import LieElement, Tensor, tensor_bracket, tensor_to_lyndon, witt_dimension
 from .snf import integer_rank
 
 Half = Tuple[str, int]
@@ -233,59 +233,60 @@ def _edge_partner(g: ClasperGraph) -> Dict[Half, Half]:
     return out
 
 
-def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
-    """Evaluate the tree as a nested bracket from the given leaf.
+def _tree_evaluator(g: ClasperGraph) -> Callable[[str], Tensor]:
+    """Rooted-bracket evaluation of a validated tree, on tensors.
 
     Entering a trivalent vertex through one half-edge, the remaining two in
-    cyclic order give (first, second) and the value lie_bracket(first, second);
-    a leaf evaluates to its label vector.
+    cyclic order give (first, second) and the value is their commutator; a
+    leaf evaluates to its label vector as a degree-one tensor.
     """
-    info = validate(g)
-    if not info.is_tree:
-        raise ValidationError("rooted_bracket needs a tree")
-    if g.n < 1:
-        raise ValidationError("tree has no label rank")
     arity = g.arity_map()
-    if arity.get(root) != UNIVALENT:
-        raise ValidationError("root %r is not a univalent vertex" % root)
     partner = _edge_partner(g)
     cyc = g.cyclic_map()
     labels = g.label_map()
 
-    def eval_from(h: Half) -> LieElement:
+    def eval_from(h: Half) -> Tensor:
         # value of the subtree on the far side of half-edge h
         far = partner[h]
         vid = far[0]
         if arity[vid] == UNIVALENT:
-            return vector_element(g.n, labels[vid])
+            return {(a,): c for a, c in enumerate(labels[vid]) if c}
         order = cyc[vid]
         pos = order.index(far)
-        first = eval_from(order[(pos + 1) % 3])
-        second = eval_from(order[(pos + 2) % 3])
-        return lie_bracket(first, second)
+        return tensor_bracket(eval_from(order[(pos + 1) % 3]), eval_from(order[(pos + 2) % 3]))
 
-    return eval_from((root, 0))
+    return lambda root: eval_from((root, 0))
+
+
+def _validate_tree(g: ClasperGraph, caller: str) -> GraphInfo:
+    info = validate(g)
+    if not info.is_tree:
+        raise ValidationError("%s needs a tree" % caller)
+    if g.n < 1:
+        raise ValidationError("tree has no label rank")
+    return info
+
+
+def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
+    """Evaluate the tree as a nested bracket from the given leaf (see
+    ``_tree_evaluator``); the value lies in degree ``degree(g) + 1``."""
+    info = _validate_tree(g, "rooted_bracket")
+    if g.arity_map().get(root) != UNIVALENT:
+        raise ValidationError("root %r is not a univalent vertex" % root)
+    return tensor_to_lyndon(_tree_evaluator(g)(root), g.n, info.degree + 1)
 
 
 def tree_to_dk(g: ClasperGraph) -> TensorElement:
     """Sum of ``label (x) rooted_bracket`` over all leaves; kernel membership
     is checked on the result."""
-    info = validate(g)
-    if not info.is_tree:
-        raise ValidationError("tree_to_dk needs a tree")
-    if g.n < 1:
-        raise ValidationError("tree has no label rank")
-    k = info.degree
+    k = _validate_tree(g, "tree_to_dk").degree
+    evaluate = _tree_evaluator(g)
     w = witt_dimension(g.n, k + 1)
     coords = [0] * (g.n * w)
-    labels = g.label_map()
-    for vid, arity in g.vertices:
-        if arity != UNIVALENT:
-            continue
-        vec = labels[vid]
+    for vid, vec in g.label_map().items():
         if all(c == 0 for c in vec):
             continue
-        elem = rooted_bracket(g, vid)
+        elem = tensor_to_lyndon(evaluate(vid), g.n, k + 1)
         for a in range(g.n):
             if vec[a] == 0:
                 continue

@@ -155,14 +155,26 @@ class GroupWord:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def abelianization(self) -> Tuple[int, ...]:
         vec = [0] * self.alphabet.size
         for gen, exp in self.letters:
             vec[gen] += exp
         return tuple(vec)
+
+
+def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
+    """The word w with generator i replaced by ``images[i]``.  A power of an
+    image is refused before it is built if it would pass MAX_WORD_LETTERS."""
+    letters: List[Letter] = []
+    for gen, exp in w.letters:
+        image = images[gen].letters
+        if exp == 1:
+            letters.extend(image)
+        elif exp == -1:
+            letters.extend(_inverse_letters(image))
+        else:
+            letters.extend(_power_letters(image, exp, held=len(letters)))
+    return GroupWord(w.alphabet, tuple(letters))
 
 
 def word(alphabet: Alphabet, *letters: Letter) -> GroupWord:
@@ -245,19 +257,6 @@ class TruncatedSeries:
                     elif key in out:
                         del out[key]
         result = TruncatedSeries(self.alphabet, q)
-        result.terms = out
-        return result
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m, 0) + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-        result = TruncatedSeries(self.alphabet, self.cutoff)
         result.terms = out
         return result
 

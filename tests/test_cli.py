@@ -322,6 +322,16 @@ def test_graph_census(capsys, tmp_path, monkeypatch):
     assert "6 graphs disagree" in err  # the orientable ones
 
 
+def test_graph_census_past_the_brute_force_bound_exits_3_at_once(capsys):
+    # Trees with 8 trivalent vertices have 17 edges, one past the bound.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "graph", "census", "--tmax", "8")
+    assert code == 3
+    assert out == ""
+    assert "up to 17 edges" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_graph_orient_theta(capsys, tmp_path):
     path = write_json(tmp_path, "theta.json", theta_payload())
     code, out, _ = invoke(capsys, "graph", "orient", path)
@@ -356,24 +366,28 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_hostile_power_exits_2_quickly_without_building_it(tmp_path):
-    # 20 bytes asking for 2 * 10^8 letters.  The child's address space is
-    # capped so that building them would fail rather than take the host's
-    # memory.
-    payload = {"g": 1, "q": 3, "images": {"x1": "(x1 y1)^100000000", "y1": "y1"}}
-    path = write_json(tmp_path, "hostile.json", payload)
+def run_in_one_gib(*argv):
+    """Run the CLI in a child whose address space is capped at 1 GiB, so that
+    building a huge word fails there rather than taking the host's memory.
+    Returns the finished process and its wall time in seconds."""
     src = os.path.dirname(os.path.dirname(jfilt.__file__))
     limit = 1 << 30
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "jfilt.cli", "aut", "degree", path],
+        [sys.executable, "-m", "jfilt.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True,
         text=True,
         timeout=60,
     )
-    elapsed = time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+def test_hostile_power_exits_2_quickly_without_building_it(tmp_path):
+    # 20 bytes asking for 2 * 10^8 letters.
+    payload = {"g": 1, "q": 3, "images": {"x1": "(x1 y1)^100000000", "y1": "y1"}}
+    proc, elapsed = run_in_one_gib("aut", "degree", write_json(tmp_path, "hostile.json", payload))
     assert proc.returncode == 2, proc.stderr
     assert "would exceed" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -386,21 +400,23 @@ def test_hostile_exponent_in_compose_exits_2_without_building_it(tmp_path):
     second = write_json(
         tmp_path, "b.json", {"g": 1, "q": 3, "images": {"x1": "x1", "y1": "y1 x1^100000000"}}
     )
-    src = os.path.dirname(os.path.dirname(jfilt.__file__))
-    limit = 1 << 30
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "jfilt.cli", "aut", "compose", first, second],
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    elapsed = time.perf_counter() - start
+    proc, elapsed = run_in_one_gib("aut", "compose", first, second)
     assert proc.returncode == 2, proc.stderr
     assert "would exceed" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_conjugation_power_in_stringlink_compose_stays_one_letter(tmp_path):
+    # The conjugation action sends y1^100000000 to (y2^-1 y1 y2)^100000000,
+    # which is y2^-1 y1^100000000 y2: three letters, not 3 * 10^8.
+    first = write_json(tmp_path, "a.json", {"g": 2, "q": 3, "kind": "y", "entries": ["y2", "y1"]})
+    second = write_json(
+        tmp_path, "b.json", {"g": 2, "q": 3, "kind": "y", "entries": ["y1^100000000", ""]}
+    )
+    proc, elapsed = run_in_one_gib("stringlink", "compose", first, second)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"] == ["y1^100000000 y2", "y1"]
     assert elapsed < 1.0
 
 
