@@ -40,6 +40,7 @@ def _mobius(n: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def witt_dimension(n: int, k: int) -> int:
     """Rank of the degree-k part of the free Lie ring on n generators:
     (1/k) * sum over d | k of mobius(d) * n^(k/d)."""

@@ -2,13 +2,16 @@
 
 A graph here has univalent vertices (leaves) carrying integer-vector labels
 of rank ``n``, and trivalent vertices carrying a cyclic order of their three
-half-edges.  Its degree is the number of trivalent vertices.  For trees there
-is a classical evaluation: rooting at a leaf turns the tree into a nested
-bracket (reading the two non-entry branches at each trivalent vertex in cyclic
-order), and summing ``label (x) rooted bracket`` over all choices of root
-lands in the kernel of the bracket contraction.  That landing is checked on
-every call, and ``span_check`` certifies that these images fill the whole
-kernel at desk scale by exhaustive enumeration.
+half-edges.  Its degree k is the number of trivalent vertices; a tree of
+degree k has k + 2 leaves.  For trees there is a classical evaluation:
+rooting at a leaf turns the tree into a nested bracket (reading the two
+non-entry branches at each trivalent vertex in cyclic order), and summing
+``label (x) rooted bracket`` over all choices of root lands in D_k, the
+kernel of the bracket contraction H (x) L_{k+1} -> L_{k+2}.  That landing is
+checked on every call.  ``span_check`` certifies that these images fill D_k
+at desk scale, using only the labelings of one caterpillar shape: the IHX
+relation writes every tree as an integer sum of caterpillars, and AS turns
+every change of cyclic order into a sign.
 
 Half-edges are written ``"vertexid.slot"`` in JSON and handled as
 ``(vertexid, slot)`` tuples internally.  The JSON schema:
@@ -378,26 +381,6 @@ def _prufer_decode(seq: Sequence[int], k: int) -> List[Tuple[int, int]]:
     return edges
 
 
-def internal_trees(k: int) -> List[List[Tuple[int, int]]]:
-    """All labeled trees on k vertices with maximum degree 3, as edge lists."""
-    if k < 1:
-        raise ValidationError("need k >= 1")
-    if k == 1:
-        return [[]]
-    if k == 2:
-        return [[(0, 1)]]
-    out = []
-    for seq in product(range(k), repeat=k - 2):
-        edges = _prufer_decode(seq, k)
-        degree = [0] * k
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        if max(degree) <= 3:
-            out.append(edges)
-    return out
-
-
 def assemble_unitrivalent(
     n: int,
     k: int,
@@ -441,23 +424,27 @@ def assemble_unitrivalent(
 
 
 def span_check(n: int, k: int) -> Tuple[int, int]:
-    """Exhaust all degree-k labeled tree images and compare the rank of their
-    span with the kernel rank."""
+    """The rank over Q of the span of all degree-k tree images, and the rank
+    of D_k, for labels of rank n.
+
+    IHX is an integral relation that ``tree_to_dk`` respects, and it rewrites
+    every tree as an integer sum of caterpillars (the path t0 - t1 - ... with
+    leaves on both ends); AS turns a flip of any vertex into a sign.  So the
+    n^(k+2) basis labelings of the one caterpillar shape, without flips, span
+    the same lattice over Z as every tree with every flip (Levine, "Labeled
+    binary planar trees and quasi-Lie algebras", AGT 6, 2006).
+    """
     if not (1 <= n <= 4 and 1 <= k <= 3):
         raise PreconditionError("span_check is limited to n <= 4, k <= 3")
-    # Images repeat up to sign (24576 trees, 49 lines at (4, 3)), and the
+    # Images repeat up to sign (1024 caterpillars, 49 lines at (4, 3)), and the
     # rank's transforms grow with the square of the row count: keep one each.
+    caterpillar = [(i, i + 1) for i in range(k - 1)]
     rows = set()
-    leaves = k + 2
-    for edges in internal_trees(k):
-        for labels in product(range(n), repeat=leaves):
-            for flips in product((False, True), repeat=k):
-                g = assemble_unitrivalent(n, k, edges, labels, flips)
-                coords = tree_to_dk(g).coords
-                lead = next((c for c in coords if c), 0)
-                rows.add(coords if lead >= 0 else tuple(-c for c in coords))
-    span_rank = integer_rank(sorted(rows)) if rows else 0
-    return span_rank, dk_rank(n, k)
+    for labels in product(range(n), repeat=k + 2):
+        coords = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels)).coords
+        lead = next((c for c in coords if c), 0)
+        rows.add(coords if lead >= 0 else tuple(-c for c in coords))
+    return integer_rank(sorted(rows)), dk_rank(n, k)
 
 
 def random_labeled_tree(rng: random.Random, n: int, k: int) -> ClasperGraph:

@@ -85,9 +85,11 @@ def _inverse_letters(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
     return tuple((g, -e) for g, e in reversed(letters))
 
 
-# Most letters a word may hold once a power or a commutator is built into it.
-# Both can multiply the length of a short input: (x1 y1)^100000000 is 20
-# bytes.  A literal word is not capped, since it costs its own input size.
+# Most letters a word may hold once a power, a commutator or a substitution is
+# built into it.  Each can multiply the length of a short input:
+# (x1 y1)^100000000 is 20 bytes, and composing a few small automorphisms
+# multiplies their image lengths.  A literal word is not capped, since it
+# costs its own input size.
 MAX_WORD_LETTERS = 10**6
 
 
@@ -163,14 +165,17 @@ class GroupWord:
 
 
 def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
-    """The word w with generator i replaced by ``images[i]``.  A power of an
-    image is refused before it is built if it would pass MAX_WORD_LETTERS."""
+    """The word w with generator i replaced by ``images[i]``.  An image or a
+    power of one is refused before it is built if it would pass
+    MAX_WORD_LETTERS."""
     letters: List[Letter] = []
     for gen, exp in w.letters:
         image = images[gen].letters
         if exp == 1:
+            _check_room(len(letters), len(image))
             letters.extend(image)
         elif exp == -1:
+            _check_room(len(letters), len(image))
             letters.extend(_inverse_letters(image))
         else:
             letters.extend(_power_letters(image, exp, held=len(letters)))

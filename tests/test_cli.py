@@ -407,6 +407,20 @@ def test_hostile_exponent_in_compose_exits_2_without_building_it(tmp_path):
     assert elapsed < 1.0
 
 
+def test_chained_compose_exits_2_before_building_the_product(tmp_path):
+    # Each factor multiplies the image of x1 by about 100: three copies ask
+    # for 2 * 10^6 letters and four for about 2 * 10^8.
+    path = write_json(
+        tmp_path, "a.json", {"g": 1, "q": 3, "images": {"x1": "x1 [x1,y1]^50", "y1": "y1"}}
+    )
+    for copies in (3, 4):
+        proc, elapsed = run_in_one_gib("aut", "compose", *[path] * copies)
+        assert proc.returncode == 2, proc.stderr
+        assert "would exceed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1.0
+
+
 def test_conjugation_power_in_stringlink_compose_stays_one_letter(tmp_path):
     # The conjugation action sends y1^100000000 to (y2^-1 y1 y2)^100000000,
     # which is y2^-1 y1^100000000 y2: three letters, not 3 * 10^8.

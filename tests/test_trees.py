@@ -2,12 +2,14 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
 from jfilt.brackets import bracket_map, dk_basis
 from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lie import LieElement, generator_element, hall_basis, lie_bracket
+from jfilt.snf import smith_normal_form
 from jfilt.trees import (
     ClasperGraph,
     assemble_unitrivalent,
@@ -15,15 +17,34 @@ from jfilt.trees import (
     clasper_to_json,
     flip_vertex,
     h_tree,
-    internal_trees,
     make_graph,
     random_labeled_tree,
     rooted_bracket,
     span_check,
     tree_to_dk,
     tripod,
+    _prufer_decode,
     validate,
 )
+
+
+def internal_trees(k):
+    """All labeled trees on k vertices with maximum degree 3, as edge lists:
+    the shapes of every degree-k tree, the reference for ``span_check``."""
+    if k == 1:
+        return [[]]
+    if k == 2:
+        return [[(0, 1)]]
+    out = []
+    for seq in product(range(k), repeat=k - 2):
+        edges = _prufer_decode(seq, k)
+        degree = [0] * k
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if max(degree) <= 3:
+            out.append(edges)
+    return out
 
 
 def theta_graph():
@@ -172,6 +193,8 @@ def test_span_check_values():
     assert span_check(4, 1) == (4, 4)
     assert span_check(3, 2) == (6, 6)
     assert span_check(4, 2) == (20, 20)
+    assert span_check(3, 3) == (6, 6)
+    assert span_check(4, 3) == (36, 36)
 
 
 def test_span_check_bounds():
@@ -187,6 +210,40 @@ def test_internal_tree_enumeration():
     assert len(internal_trees(3)) == 3
     # Cayley: 16 labeled trees on 4 vertices; all have max degree <= 3
     assert len(internal_trees(4)) == 16
+
+
+def _image_divisors(graphs):
+    """Nonzero Smith divisors of the sign-normalised, deduplicated images."""
+    rows = set()
+    for g in graphs:
+        coords = tree_to_dk(g).coords
+        lead = next((c for c in coords if c), 0)
+        rows.add(coords if lead >= 0 else tuple(-c for c in coords))
+    return [d for d in smith_normal_form(sorted(rows)).diagonal if d]
+
+
+# Non-unit divisors: (Z/2)^W(n, 2) at k = 2, none at odd k.  (4, 3) is left
+# out because its all-trees walk takes seconds; span_check covers its rank.
+@pytest.mark.parametrize(
+    "n, k, torsion",
+    [pytest.param(n, k, [2] * (n * (n - 1) // 2) if k == 2 else [], id="n%d-k%d" % (n, k))
+     for n in range(1, 5) for k in range(1, 4) if (n, k) != (4, 3)],
+)
+def test_caterpillars_span_the_all_trees_lattice(n, k, torsion):
+    every_tree = [
+        assemble_unitrivalent(n, k, edges, labels, flips)
+        for edges in internal_trees(k)
+        for labels in product(range(n), repeat=k + 2)
+        for flips in product((False, True), repeat=k)
+    ]
+    caterpillars = [
+        assemble_unitrivalent(n, k, [(i, i + 1) for i in range(k - 1)], labels)
+        for labels in product(range(n), repeat=k + 2)
+    ]
+    divisors = _image_divisors(caterpillars)
+    assert divisors == _image_divisors(every_tree)
+    assert [d for d in divisors if d != 1] == torsion
+    assert span_check(n, k) == (len(divisors), len(divisors))
 
 
 def test_assemble_round_trip_shape():

@@ -324,6 +324,18 @@ def test_power_and_commutator_growth_is_capped(monkeypatch):
         parse_word("[(x1 y1)^30, (x1 y2)^30 x2]", FULL2)
 
 
+def test_plain_substitution_is_capped(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 100)
+    gens = [generator(FULL2, i) for i in range(4)]
+    images = [parse_word("(x1 y1)^5", FULL2)] + gens[1:]  # x1 -> 10 letters
+    # Nine copies of each image with exponent +-1: 9 * 10 + 9 letters.
+    for text in ("(x1 x2)^9", "(x1^-1 x2)^9"):
+        assert len(words.substitute(parse_word(text, FULL2), images).letters) == 99
+    for text in ("(x1 x2)^9 x1", "(x1^-1 x2)^9 x1^-1"):
+        with pytest.raises(ValidationError, match="99 built, 10 more"):
+            words.substitute(parse_word(text, FULL2), images)
+
+
 def test_projection_and_embedding():
     ab = Alphabet(2)
     w = parse_word("x1 y1 x2^-1 y2^3", ab)
