@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import TensorElement, bracket_map, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import LieElement, tensor_to_lyndon
-from .snf import Matrix, matmul, smith_normal_form, transpose
+from .snf import Matrix, invariant_factors, matmul, smith_normal_form, transpose
 from .words import (
     FULL,
     X_ONLY,
@@ -65,7 +65,7 @@ class NilAut:
         self.level = int(level)
         self.images = tuple(images)
         matrix = [list(w.abelianization()) for w in self.images]
-        if smith_normal_form(matrix).diagonal != [1] * len(matrix):
+        if invariant_factors(matrix) != [1] * len(matrix):
             raise ValidationError("abelianization is not invertible over the integers")
         self._abelianization = matrix
         # Memo for check_aut0 at this level; populated by constructions that

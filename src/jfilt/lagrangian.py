@@ -34,9 +34,9 @@ from .brackets import (
     tensor_from_components,
 )
 from .errors import InvariantError, PreconditionError
-from .lie import graded_class, witt_dimension
+from .lie import tensor_to_lyndon, witt_dimension
 from .snf import Matrix, identity_matrix, transpose
-from .words import lcs_weight, project_y
+from .words import lcs_weight, magnus_expand, project_y
 
 __all__ = [
     "LagrangianReport",
@@ -94,10 +94,17 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
         raise PreconditionError(
             "jl_element: level %d is below k+2 = %d" % (h.level, k + 2)
         )
-    if lagrangian_degree(h) < k:
-        raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
     g = h.genus
-    classes = {i: graded_class(project_y(h.images[i]), k + 1) for i in range(g)}
+    classes = {}
+    for i in range(g):
+        # One expansion at the working level serves both the degree check
+        # (what lagrangian_degree reads) and the degree-(k+1) class (what
+        # graded_class reads), since truncation keeps lower degrees as they are.
+        series = magnus_expand(project_y(h.images[i]), h.level)
+        low = series.lowest_positive_degree()
+        if low is not None and low <= k:
+            raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
+        classes[i] = tensor_to_lyndon(series.homogeneous(k + 1), g, k + 1)
     value = tensor_from_components(g, k, classes)
     in_hat = _y_block(h) == identity_matrix(g)
     if in_hat and h._aut0_known is True:

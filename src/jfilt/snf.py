@@ -13,6 +13,8 @@ every matrix question in the package: saturated kernel bases (``dk_basis``),
 invertibility over Z (``NilAut`` accepts an abelianization only when every
 invariant factor is 1), the integer inverse (``V U`` when ``U A V = I``) and
 the rank over Q (``integer_rank``, the count of nonzero invariant factors).
+The two questions that read only the diagonal, invertibility and the rank,
+run the same elimination without building ``U`` and ``V``.
 Pivots of least absolute value keep entries small, and the matrices built
 here are mostly 0 and +-1, so nearly every pivot is a unit, which divides
 everything: no divisibility scan of the trailing block is needed.  On
@@ -100,17 +102,18 @@ def _add_row(m: Matrix, src: int, dst: int, factor: int, start: int = 0) -> None
         drow[j] += factor * srow[j]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Compute ``U A V = D`` with unimodular ``U``, ``V`` and SNF diagonal ``D``."""
+def _eliminate(matrix: Sequence[Sequence[int]], transforms: bool):
+    """The Smith elimination: the nonnegative diagonal, with ``U`` and ``V``
+    transposed when ``transforms`` is set, else ``None`` for both.  The
+    diagonal does not depend on whether the transforms are kept."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     work = [list(row) for row in matrix]
     for row in work:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-    u = identity_matrix(rows)
     # V is kept transposed, so its column operations are row operations.
-    vt = identity_matrix(cols)
+    u, vt = (identity_matrix(rows), identity_matrix(cols)) if transforms else (None, None)
 
     limit = min(rows, cols)
     for t in range(limit):
@@ -133,10 +136,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         pi, pj = pivot
         if pi != t:
             _swap_rows(work, pi, t)
-            _swap_rows(u, pi, t)
+            if transforms:
+                _swap_rows(u, pi, t)
         if pj != t:
             _swap_cols(work, pj, t, t)
-            _swap_rows(vt, pj, t)
+            if transforms:
+                _swap_rows(vt, pj, t)
 
         # Clear the pivot row and column; repeat because remainders can
         # reintroduce entries until the pivot divides everything it meets.
@@ -151,11 +156,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                     continue
                 q = e // p
                 _add_row(work, t, i, -q, t)
-                _add_row(u, t, i, -q)
+                if transforms:
+                    _add_row(u, t, i, -q)
                 if work[i][t] != 0:
                     # remainder smaller than |p|: promote it to pivot
                     _swap_rows(work, i, t)
-                    _swap_rows(u, i, t)
+                    if transforms:
+                        _swap_rows(u, i, t)
                     dirty = True
                     break
             if dirty:
@@ -169,10 +176,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                     continue
                 q = e // p
                 prow[j] = e - q * p
-                _add_row(vt, t, j, -q)
+                if transforms:
+                    _add_row(vt, t, j, -q)
                 if prow[j] != 0:
                     _swap_cols(work, j, t, t)
-                    _swap_rows(vt, j, t)
+                    if transforms:
+                        _swap_rows(vt, j, t)
                     dirty = True
                     break
             if dirty:
@@ -194,22 +203,35 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             if offender is None:
                 break
             _add_row(work, offender, t, 1, t)
-            _add_row(u, offender, t, 1)
+            if transforms:
+                _add_row(u, offender, t, 1)
 
     diagonal = [work[i][i] for i in range(limit)]
     # Normalise signs to nonnegative by flipping columns of V.
     for i, d in enumerate(diagonal):
         if d < 0:
             diagonal[i] = -d
-            vt[i] = [-x for x in vt[i]]
+            if transforms:
+                vt[i] = [-x for x in vt[i]]
     # No reordering is needed: each pivot divides its whole trailing block
     # before the next step starts, and later steps only take integer
     # combinations inside that block, so each diagonal entry divides the next
     # and the zeros, left once the block vanishes, come last.
-    return SmithDecomposition(rows=rows, cols=cols, U=u, V=transpose(vt), diagonal=diagonal)
+    return diagonal, u, vt
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """Compute ``U A V = D`` with unimodular ``U``, ``V`` and SNF diagonal ``D``."""
+    diagonal, u, vt = _eliminate(matrix, transforms=True)
+    return SmithDecomposition(rows=len(u), cols=len(vt), U=u, V=transpose(vt), diagonal=diagonal)
+
+
+def invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
+    """The diagonal of the Smith form, found without building ``U`` or
+    ``V``: memory linear in the matrix."""
+    return _eliminate(matrix, transforms=False)[0]
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the number of nonzero invariant factors.
-    Builds the transforms, rows^2 + cols^2 entries."""
-    return smith_normal_form(matrix).rank
+    """Rank over the rationals: the number of nonzero invariant factors."""
+    return sum(1 for d in invariant_factors(matrix) if d != 0)

@@ -133,6 +133,13 @@ class GroupWord:
     alphabet: Alphabet
     letters: Tuple[Letter, ...] = ()
 
+    # Not fields, so a plain word pays nothing for them.  ``substitute`` sets
+    # ``_substituted`` on its result to the letters and images it was built
+    # from; ``magnus_expand`` sets ``_factors`` on an image word to the
+    # factor terms it expanded, keyed by (cutoff, exponent).
+    _substituted = None
+    _factors = None
+
     def __post_init__(self):
         size = self.alphabet.size
         for gen, exp in self.letters:
@@ -167,7 +174,12 @@ class GroupWord:
 def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
     """The word w with generator i replaced by ``images[i]``.  An image or a
     power of one is refused before it is built if it would pass
-    MAX_WORD_LETTERS."""
+    MAX_WORD_LETTERS.
+
+    The result remembers w's letters and the images, so that
+    ``magnus_expand`` can expand it as the product of the images' expansions
+    (exact, see there) when the images w uses hold fewer letters than the
+    result."""
     letters: List[Letter] = []
     for gen, exp in w.letters:
         image = images[gen].letters
@@ -179,7 +191,9 @@ def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
             letters.extend(_inverse_letters(image))
         else:
             letters.extend(_power_letters(image, exp, held=len(letters)))
-    return GroupWord(w.alphabet, tuple(letters))
+    out = GroupWord(w.alphabet, tuple(letters))
+    object.__setattr__(out, "_substituted", (w.letters, tuple(images)))
+    return out
 
 
 def word(alphabet: Alphabet, *letters: Letter) -> GroupWord:
@@ -293,39 +307,125 @@ class TruncatedSeries:
         return "TruncatedSeries(q=%d: %s)" % (self.cutoff, body or "0")
 
 
+def _right_multiply(by_degree: List[Dict[Tuple[int, ...], int]], factor) -> None:
+    """Multiply the per-degree dicts on the right by 1 + F in place, where
+    ``factor`` lists the terms of F as (degree, monomial, coefficient) by
+    increasing degree.  Degrees are visited from the top down: a term of
+    degree d adds only to degrees above d, which have already been read."""
+    q = len(by_degree)
+    for d in range(q - 2, -1, -1):
+        source = by_degree[d]
+        if not source:
+            continue
+        room = q - d
+        for j, tail, b in factor:
+            if j >= room:
+                break
+            target = by_degree[d + j]
+            for m, c in source.items():
+                key = m + tail
+                val = target.get(key, 0) + c * b
+                if val:
+                    target[key] = val
+                else:
+                    del target[key]
+
+
+def _expand_letters(by_degree: List[Dict[Tuple[int, ...], int]], letters: Iterable[Letter]) -> None:
+    """Multiply on the right by (1 + Z)^e for each letter z^e: a term c*m of
+    degree d adds c*binom_j(e) at m.Z^j for 0 < j < q - d."""
+    q = len(by_degree)
+    factors: Dict[Letter, list] = {}
+    for letter in letters:
+        factor = factors.get(letter)
+        if factor is None:
+            # (j, Z^j, binom_j(e)) while binom_j(e) != 0; the recurrence
+            # binom_j(e) = binom_{j-1}(e) * (e - j + 1) / j is exact for
+            # e < 0 too.
+            gen, exp = letter
+            factor = factors[letter] = []
+            b = 1
+            for j in range(1, q):
+                b = b * (exp - j + 1) // j
+                if not b:
+                    break
+                factor.append((j, (gen,) * j, b))
+        _right_multiply(by_degree, factor)
+
+
+def _unit(q: int) -> List[Dict[Tuple[int, ...], int]]:
+    return [{(): 1}] + [{} for _ in range(q - 1)]
+
+
+def _terms(by_degree: List[Dict[Tuple[int, ...], int]]):
+    """The non-constant terms, as ``_right_multiply`` takes a factor."""
+    return tuple((j, m, c) for j in range(1, len(by_degree)) for m, c in by_degree[j].items())
+
+
+def _image_factor(image: GroupWord, q: int, exp: int):
+    """The terms of M(image)^exp - 1 below degree q, as ``_right_multiply``
+    takes them, expanded from the image's own letters once and kept on the
+    image word."""
+    memo = image._factors
+    if memo is None:
+        memo = {}
+        object.__setattr__(image, "_factors", memo)
+    factor = memo.get((q, exp))
+    if factor is None:
+        by_degree = _unit(q)
+        if exp == 1:
+            _expand_letters(by_degree, image.letters)
+        elif exp == -1:
+            _expand_letters(by_degree, _inverse_letters(image.letters))
+        else:
+            # Square and multiply: O(log |exp|) multiplications.
+            base = _image_factor(image, q, 1 if exp > 0 else -1)
+            n = abs(exp)
+            while True:
+                if n & 1:
+                    _right_multiply(by_degree, base)
+                n >>= 1
+                if not n:
+                    break
+                square = _unit(q)
+                _right_multiply(square, base)
+                _right_multiply(square, base)
+                base = _terms(square)
+        factor = memo[(q, exp)] = _terms(by_degree)
+    return factor
+
+
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
 
-    The terms are kept in one dict per degree.  Each letter z^e multiplies
-    them on the right by (1 + Z)^e in place, from the top degree down: a
-    term c*m of degree d adds c*binom_j(e) at m.Z^j for 0 < j < q - d.
-    Those targets lie in higher degrees, which have already been read, so a
-    letter costs O(terms * q) and never visits the top degree."""
+    The terms are kept in one dict per degree, multiplied on the right by
+    (1 + Z)^e for each letter z^e, in place and from the top degree down,
+    so a letter costs O(terms * q) and never visits the top degree.
+
+    A word built by ``substitute(u, images)`` equals h(u) for the
+    endomorphism h with h(z_i) = images[i], and the expansion is a ring
+    homomorphism, so its expansion is the product of M(images[i])^e over
+    the letters z_i^e of u (Magnus-Karrass-Solitar, ch. 5).  That is exact
+    whatever cancelled when the word was reduced.  When the images u uses
+    hold fewer letters in total than the word, it is expanded that way: one
+    right multiplication per letter of u, by a factor expanded from the
+    image's own letters once per (q, e) and kept on the image.  Otherwise
+    it goes letter by letter, since free cancellation can leave the word
+    shorter than its images (``phi_hat`` fixes each x_i y_i x_i^-1, so
+    h(omega) collapses).  Every call returns a new series."""
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
-    by_degree: List[Dict[Tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(q - 1)]
-    for gen, exp in w.letters:
-        # (Z^j, binom_j(e)) while binom_j(e) != 0; the recurrence
-        # binom_j(e) = binom_{j-1}(e) * (e - j + 1) / j is exact for e < 0 too.
-        steps = []
-        b = 1
-        for j in range(1, q):
-            b = b * (exp - j + 1) // j
-            if not b:
-                break
-            steps.append(((gen,) * j, b))
-        for d in range(q - 2, -1, -1):
-            source = by_degree[d]
-            if not source:
-                continue
-            for target, (tail, b) in zip(by_degree[d + 1 :], steps):
-                for m, c in source.items():
-                    key = m + tail
-                    val = target.get(key, 0) + c * b
-                    if val:
-                        target[key] = val
-                    else:
-                        del target[key]
+    by_degree = _unit(q)
+    through_images = False
+    if w._substituted is not None:
+        letters, images = w._substituted
+        used = {gen for gen, _ in letters}
+        through_images = sum(len(images[gen].letters) for gen in used) < len(w.letters)
+    if through_images:
+        for gen, exp in letters:
+            _right_multiply(by_degree, _image_factor(images[gen], q, exp))
+    else:
+        _expand_letters(by_degree, w.letters)
     series = TruncatedSeries(w.alphabet, q)
     for terms in by_degree:
         series.terms.update(terms)

@@ -1,5 +1,6 @@
 """Tests for nilpotent-quotient automorphisms and longitude tuples."""
 
+import functools
 import random
 
 import pytest
@@ -247,6 +248,21 @@ def test_invert_random_products():
         b = phi_hat(random_kernel_tuple(rng, 2, 1, noise=False), 3)
         h = compose(a, b)
         assert compose(h, invert_aut(h)) == identity_aut(2, 3)
+
+
+def test_a_chain_of_3000_compositions_is_queried_without_recursion():
+    # Each image of the chain is substituted into the images one composition
+    # before it, 3000 deep; expansion reads one level only.
+    t = framing_tuple(2, 4, [1, -1])
+    h = NilAut(Alphabet(2, FULL), 4, phi_hat(t).images)  # no recorded check_aut0
+    chain = functools.reduce(compose, [h] * 3000)
+    expected = phi_hat(framing_tuple(2, 4, [3000, -3000]))
+    assert chain == expected
+    assert [w.letters for w in chain.images] == [w.letters for w in expected.images]
+    # h(omega) = omega has 8 letters and the images 6: through the images.
+    assert check_aut0(chain)
+    assert chain.images[0]._factors is not None
+    assert filtration_degree(chain) == filtration_degree(expected) == 0
 
 
 def test_reduce_level_commutes_with_compose():

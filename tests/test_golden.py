@@ -1,12 +1,22 @@
 """Golden outputs of the tree-kernel path: bracket matrices, tree images,
 rooted brackets, span ranks and the graph census, pinned as sha256 digests
 of their compact JSON.  A rewrite of the bracket arithmetic, the tree
-evaluator or the graph assembler must leave every digest unchanged."""
+evaluator or the graph assembler must leave every digest unchanged.  So
+must a rewrite of the Magnus expansion leave the words that ``compose`` and
+``invert_aut`` build."""
 
 import hashlib
 import json
 import random
 
+from jfilt.automorphisms import (
+    compose,
+    full_twist_tuple,
+    invert_aut,
+    phi_hat,
+    psi_hat,
+    random_kernel_tuple,
+)
 from jfilt.brackets import bracket_matrix
 from jfilt.lie import witt_dimension
 from jfilt.orientation import enumerate_unitrivalent
@@ -36,6 +46,7 @@ TREE_IMAGE_DIGEST = "c23c3666df7be51e708267faef75c20badfdc647c810c85b8d1a3ac9022
 ROOTED_BRACKET_DIGEST = "8286bb3dabe0e4f0a020e062a62b838282ba256cea559c8b20a8105ddf7b2fce"
 SPAN_CHECK_DIGEST = "13feba55ba2ff50129fcf810693a98fb0b229c93fbfc02f798e17381da595a3a"
 CENSUS_4_DIGEST = "b44b5f7ce92ab83bafa78c75ad64ead32b384e6a1b93b175009af0badca9d08a"
+AUT_WORDS_DIGEST = "e4fcc5f986980b83d0926ba308600f2773b306fd6202601c025c2ff9143088a3"
 
 TREE_SAMPLES = 1000
 
@@ -70,3 +81,19 @@ def test_census_graphs_are_pinned():
         [g.n, g.vertices, g.edges, g.cyclic, g.labels] for g in enumerate_unitrivalent(4)
     ]
     assert _digest(fields) == CENSUS_4_DIGEST
+
+
+def test_composed_and_inverted_words_are_pinned():
+    # invert_aut stops at the first round whose error equals the identity,
+    # so its words also pin the answers of those equality tests.
+    rng = random.Random(20261018)
+    out = []
+    for g in (1, 2, 3):
+        for k in (1, 2):
+            h1 = phi_hat(random_kernel_tuple(rng, g, k))
+            h2 = psi_hat(random_kernel_tuple(rng, g, k, "x"))
+            h3 = psi_hat(full_twist_tuple(g, k + 2, rng.choice((-1, 1)), "x"))
+            for h in (compose(h1, h2), compose(h2, h1), compose(compose(h1, h3), h1),
+                      invert_aut(h1), invert_aut(h2), invert_aut(h3)):
+                out.append([g, k, h.level, [[list(l) for l in w.letters] for w in h.images]])
+    assert _digest(out) == AUT_WORDS_DIGEST

@@ -193,6 +193,76 @@ def test_magnus_matches_the_per_letter_product(w, q):
     assert all(c != 0 and len(m) < q for m, c in series.terms.items())
 
 
+def substitutions():
+    """(w, images) at genus 1 to 3.  Images are random words, some of them
+    substituted words themselves; or w is omega and the images are those of
+    phi_hat for random y-words, so that h(omega) cancels down to fewer
+    letters than its images hold."""
+
+    @st.composite
+    def draw(draw):
+        ab = Alphabet(draw(st.integers(1, 3)))
+        short = words_over(ab, max_len=4, max_exp=3)
+        if draw(st.booleans()):
+            lams = [embed_word(project_y(draw(short)), ab) for _ in range(ab.genus)]
+            gens = [generator(ab, i) for i in range(ab.size)]
+            images = [gens[i] * lams[i] for i in range(ab.genus)]
+            images += [lams[i].inverse() * gens[ab.genus + i] * lams[i] for i in range(ab.genus)]
+            return omega(ab.genus), images
+        images = []
+        for _ in range(ab.size):
+            image = draw(short)
+            if draw(st.booleans()):
+                image = words.substitute(image, [draw(short) for _ in range(ab.size)])
+            images.append(image)
+        return draw(words_over(ab, max_len=12, max_exp=3)), images
+
+    return draw()
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions(), st.integers(2, 5))
+def test_expansion_through_images_matches_the_letters(case, q):
+    w, images = case
+    built = words.substitute(w, images)
+    assert magnus_expand(built, q) == magnus_expand(GroupWord(built.alphabet, built.letters), q)
+
+
+def test_expansion_goes_through_images_only_when_they_are_shorter():
+    ab = Alphabet(2)
+    x1, x2, y1, y2 = (generator(ab, i) for i in range(4))
+    images = [x1 * y1, x2 * y2 * x1, y1, y2]
+    built = words.substitute(parse_word("(x1 x2)^5 x1^-3", ab), images)
+    assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
+    assert set(images[0]._factors) == {(4, 1), (4, -1), (4, -3)}  # -3 from -1
+    assert set(images[1]._factors) == {(4, 1)}
+    # A power of an image is taken by squaring, not one factor at a time.
+    built = words.substitute(parse_word("x1^1000 x2^-999", ab), images)
+    assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
+    # phi_hat of the full twist (y1 y2, y1 y2) fixes each x_i y_i x_i^-1 and
+    # y1 y2, so h(omega) has 8 letters against 14 in the images: it is
+    # expanded letter by letter.
+    lam = y1 * y2
+    images = [x1 * lam, x2 * lam, lam.inverse() * y1 * lam, lam.inverse() * y2 * lam]
+    built = words.substitute(omega(2), images)
+    assert len(built.letters) == 8
+    assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
+    assert all(image._factors is None for image in images)
+
+
+def test_expansion_returns_a_new_series_every_call():
+    ab = Alphabet(2)
+    images = [parse_word(t, ab) for t in ("x1 y1", "x2 y2 x1", "y1", "y2")]
+    built = words.substitute(parse_word("(x1 x2)^5", ab), images)
+    for w in (built, images[0]):
+        first = magnus_expand(w, 4)
+        expected = dict(first.terms)
+        first.terms[()] = 7
+        first.terms.pop((0,), None)
+        first.terms[(3, 3, 3)] = 5
+        assert magnus_expand(w, 4).terms == expected
+
+
 def word_expressions(alphabet):
     """Pairs (text, word) of nested commutators, powers and products, the
     word built with *, ** and commutator."""
