@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import (
     LieElement,
     Tensor,
@@ -34,11 +34,17 @@ from .lie import (
     hall_basis,
     lie_map,
     lie_to_tensor,
+    lyndon_coords,
     tensor_bracket,
-    tensor_to_lyndon,
     witt_dimension,
 )
 from .snf import Matrix, integer_rank, smith_normal_form
+
+# Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
+# builds in a couple of seconds, (10, 2) has 8.2 million.  The dense matrix is
+# the memory bound of the matrix route, so it is checked before anything is
+# allocated.
+MAX_MATRIX_CELLS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,6 @@ def tensor_from_components(n: int, level: int, parts: Dict[int, LieElement]) -> 
     return TensorElement(n, level, tuple(coords))
 
 
-def simple_tensor(n: int, level: int, a: int, elem: LieElement) -> TensorElement:
-    return tensor_from_components(n, level, {a: elem})
-
-
 def bracket_map(t: TensorElement) -> LieElement:
     """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
     out: Tensor = {}
@@ -122,7 +124,8 @@ def bracket_map(t: TensorElement) -> LieElement:
         part = t.component(a)
         if not part.is_zero:
             tensor_bracket({(a,): 1}, lie_to_tensor(part), out)
-    return tensor_to_lyndon(out, t.n, t.level + 2)
+    # Built from validated Lie parts, so homogeneous over the n letters.
+    return LieElement.from_sparse(t.n, t.level + 2, lyndon_coords(out, t.n, t.level + 2))
 
 
 def bracket_matrix(n: int, k: int) -> Matrix:
@@ -130,19 +133,26 @@ def bracket_matrix(n: int, k: int) -> Matrix:
 
     Rows are indexed by the degree ``k+2`` Lyndon basis, columns by the
     generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1`` basis.
+    Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells.
     """
     if k < 1:
         raise ValidationError("level must be at least 1")
     rows = witt_dimension(n, k + 2)
+    cells = n * witt_dimension(n, k + 1) * rows
+    if cells > MAX_MATRIX_CELLS:
+        raise PreconditionError(
+            "contraction matrix at (n, k) = (%d, %d) has %d cells, over the bound of %d"
+            % (n, k, cells, MAX_MATRIX_CELLS)
+        )
     src = hall_basis(n, k + 1).words
     matrix = [[0] * (n * len(src)) for _ in range(rows)]
     for a in range(n):
         for j, u in enumerate(src):
-            image = tensor_to_lyndon(tensor_bracket({(a,): 1}, basis_expansion(u)), n, k + 2)
             col = a * len(src) + j
-            for r, c in enumerate(image.coords):
-                if c:
-                    matrix[r][col] = c
+            # Built from a basis expansion, so homogeneous over the n letters.
+            image = lyndon_coords(tensor_bracket({(a,): 1}, basis_expansion(u)), n, k + 2)
+            for r, c in image.items():
+                matrix[r][col] = c
     return matrix
 
 

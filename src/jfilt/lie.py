@@ -11,6 +11,7 @@ exact membership test for the Lie subspace.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -174,6 +175,13 @@ class LieElement:
     def scale(self, c: int) -> "LieElement":
         return LieElement(self.n, self.degree, tuple(c * a for a in self.coords))
 
+    @classmethod
+    def from_sparse(cls, n: int, degree: int, coords: Dict[int, int]) -> "LieElement":
+        dense = [0] * witt_dimension(n, degree)
+        for i, c in coords.items():
+            dense[i] = c
+        return cls(n, degree, tuple(dense))
+
 
 def generator_element(n: int, index: int) -> LieElement:
     if not 0 <= index < n:
@@ -198,27 +206,49 @@ def lie_to_tensor(elem: LieElement) -> Tensor:
     return out
 
 
+def lyndon_coords(tensor: Tensor, n: int, degree: int) -> Dict[int, int]:
+    """Triangular change of basis, sparse: basis index -> nonzero coefficient.
+
+    Walks only the monomials the tensor holds and those its subtractions
+    bring in, least first.  The least one left must be a Lyndon word w,
+    whose coefficient is final because every other monomial of w's expansion
+    is larger; subtracting that expansion moves on.  Raises if the tensor is
+    not a Lie element.  The monomials are not checked for length and letter
+    range: callers whose tensors do not come from validated Lie data use
+    ``tensor_to_lyndon``.
+    """
+    index = _basis_index(n, degree)
+    # Cancelled monomials stay in ``work`` at 0, so each is pushed only once.
+    work = {m: c for m, c in tensor.items() if c}
+    heap = list(work)
+    heapq.heapify(heap)
+    coords: Dict[int, int] = {}
+    while heap:
+        w = heapq.heappop(heap)
+        c = work[w]
+        if not c:
+            continue
+        i = index.get(w)
+        if i is None:
+            raise ValidationError("tensor is not a Lie element")
+        coords[i] = c
+        for m, cm in _expand(w)[1:]:
+            if m in work:
+                work[m] -= c * cm
+            else:
+                work[m] = -c * cm
+                heapq.heappush(heap, m)
+    return coords
+
+
 def tensor_to_lyndon(tensor: Tensor, n: int, degree: int) -> LieElement:
-    """Triangular change of basis.  Raises if the tensor does not lie in the
-    span of the bracketed basis, i.e. is not a Lie element."""
-    work = {m: c for m, c in tensor.items() if c != 0}
-    for m in work:
-        if len(m) != degree or not all(0 <= letter < n for letter in m):
+    """Lyndon coordinates of a homogeneous tensor (see ``lyndon_coords``).
+    Raises if the tensor does not lie in the span of the bracketed basis,
+    i.e. is not a Lie element."""
+    for m, c in tensor.items():
+        if c and (len(m) != degree or not all(0 <= letter < n for letter in m)):
             raise ValidationError("tensor monomials must be homogeneous over the n letters")
-    coords = []
-    for w in hall_basis(n, degree).words:
-        c = work.get(w, 0)
-        coords.append(c)
-        if c:
-            for m, cm in basis_expansion(w).items():
-                val = work.get(m, 0) - c * cm
-                if val:
-                    work[m] = val
-                elif m in work:
-                    del work[m]
-    if work:
-        raise ValidationError("tensor is not a Lie element")
-    return LieElement(n, degree, tuple(coords))
+    return LieElement.from_sparse(n, degree, lyndon_coords(tensor, n, degree))
 
 
 def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
@@ -241,23 +271,6 @@ def graded_class(w: GroupWord, k: int) -> LieElement:
     if low is not None and low < k:
         raise PreconditionError("word has weight %d, below the requested degree %d" % (low, k))
     return tensor_to_lyndon(series.homogeneous(k), n, k)
-
-
-def dynkin_image(tensor: Tensor) -> Tensor:
-    """Left-normed bracketing map on the tensor algebra.  On a homogeneous
-    Lie element of degree k it acts as multiplication by k."""
-    out: Tensor = {}
-    for m, c in tensor.items():
-        part: Tensor = {(m[0],): 1} if m else {}
-        for letter in m[1:]:
-            part = tensor_bracket(part, {(letter,): 1})
-        for pm, pc in part.items():
-            val = out.get(pm, 0) + c * pc
-            if val:
-                out[pm] = val
-            elif pm in out:
-                del out[pm]
-    return out
 
 
 def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:

@@ -33,7 +33,14 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .brackets import TensorElement, bracket_map, dk_rank
 from .errors import InvariantError, PreconditionError, ValidationError
-from .lie import LieElement, Tensor, tensor_bracket, tensor_to_lyndon, witt_dimension
+from .lie import (
+    LieElement,
+    Tensor,
+    lyndon_coords,
+    tensor_bracket,
+    tensor_to_lyndon,
+    witt_dimension,
+)
 from .snf import integer_rank
 
 Half = Tuple[str, int]
@@ -289,11 +296,12 @@ def tree_to_dk(g: ClasperGraph) -> TensorElement:
     for vid, vec in g.label_map().items():
         if all(c == 0 for c in vec):
             continue
-        elem = tensor_to_lyndon(evaluate(vid), g.n, k + 1)
+        # Evaluated from a validated tree, so homogeneous over the n letters.
+        elem = lyndon_coords(evaluate(vid), g.n, k + 1)
         for a in range(g.n):
             if vec[a] == 0:
                 continue
-            for i, c in enumerate(elem.coords):
+            for i, c in elem.items():
                 coords[a * w + i] += vec[a] * c
     out = TensorElement(g.n, k, tuple(coords))
     if not bracket_map(out).is_zero:

@@ -4,8 +4,11 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jfilt.brackets import (
+    MAX_MATRIX_CELLS,
     TensorElement,
     a1_dimensions,
     bracket_map,
@@ -15,17 +18,19 @@ from jfilt.brackets import (
     embed_tensor,
     map_tensor_first,
     map_tensor_second,
-    simple_tensor,
     tensor_from_components,
     tensor_from_json,
     tensor_to_json,
 )
-from jfilt.errors import ValidationError
+from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lie import (
     LieElement,
     generator_element,
     hall_basis,
     lie_bracket,
+    lie_to_tensor,
+    tensor_bracket,
+    tensor_to_lyndon,
     witt_dimension,
 )
 from jfilt.snf import integer_rank
@@ -100,11 +105,39 @@ def test_known_kernel_element_level_one():
 def test_simple_tensor_contraction():
     n = 2
     u = lie_bracket(generator_element(n, 0), generator_element(n, 1))
-    t = simple_tensor(n, 1, 0, u)
+    t = tensor_from_components(n, 1, {0: u})
     image = bracket_map(t)
     expected = lie_bracket(generator_element(n, 0), u)
     assert image == expected
     assert not image.is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
+def test_bracket_map_matches_the_validating_read_back(n, k, seed):
+    rng = random.Random(seed)
+    coords = tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n * witt_dimension(n, k + 1)))
+    t = TensorElement(n, k, coords)
+    tensor = {}
+    for a, part in enumerate(t.components()):
+        tensor_bracket({(a,): 1}, lie_to_tensor(part), tensor)
+    assert bracket_map(t) == tensor_to_lyndon(tensor, n, k + 2)
+
+
+def test_bracket_matrix_refuses_past_the_cell_bound_before_allocating():
+    # (10, 2) has 10 * 330 * 2475 cells, just over twice the bound; no Lyndon
+    # basis is asked for before the refusal.
+    assert 10 * witt_dimension(10, 3) * witt_dimension(10, 4) > MAX_MATRIX_CELLS
+    before = hall_basis.cache_info()
+    for call in (lambda: bracket_matrix(10, 2), lambda: dk_rank(10, 2, method="matrix")):
+        with pytest.raises(PreconditionError, match="over the bound"):
+            call()
+    after = hall_basis.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert dk_rank(10, 2) == 10 * 330 - 2475
+    # dk basis 6 3 and criterion 1's largest matrix, (8, 1), stay inside.
+    for n, k in ((6, 3), (8, 1)):
+        assert n * witt_dimension(n, k + 1) * witt_dimension(n, k + 2) <= MAX_MATRIX_CELLS
 
 
 def test_a1_dimension_pairs():
@@ -126,7 +159,8 @@ def test_component_roundtrip():
 def test_arithmetic_and_validation():
     t = TensorElement.zero(2, 1)
     assert t.is_zero
-    u = simple_tensor(2, 1, 1, lie_bracket(generator_element(2, 0), generator_element(2, 1)))
+    bracket = lie_bracket(generator_element(2, 0), generator_element(2, 1))
+    u = tensor_from_components(2, 1, {1: bracket})
     assert (u + t) == u
     assert (u - u).is_zero
     assert u.scale(-3) == -(u + u + u)
@@ -145,7 +179,7 @@ def test_embed_tensor_commutes_with_contraction():
 
     n, k, n_target, shift = 2, 1, 4, 2
     u = lie_bracket(generator_element(n, 0), generator_element(n, 1))
-    t = simple_tensor(n, k, 1, u)
+    t = tensor_from_components(n, k, {1: u})
     big = embed_tensor(t, n_target, shift)
     assert embed_lie(bracket_map(t), n_target, shift) == bracket_map(big)
 
@@ -174,7 +208,7 @@ def test_map_tensor_first_transpose_action():
 def test_map_tensor_second_is_lie_substitution():
     n = 2
     u = lie_bracket(generator_element(n, 0), generator_element(n, 1))
-    t = simple_tensor(n, 1, 0, u)
+    t = tensor_from_components(n, 1, {0: u})
     swap = [[0, 1], [1, 0]]
     moved = map_tensor_second(swap, t)
     assert moved.component(0) == -u  # [e1, e0] = -[e0, e1]

@@ -332,6 +332,18 @@ def test_graph_census_past_the_brute_force_bound_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_dk_basis_past_the_matrix_cell_bound_exits_3_at_once(capsys):
+    # (10, 2) is the smallest k = 2 pair over the bound; its rank still prints.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "dk", "basis", "10", "2")
+    assert code == 3
+    assert out == ""
+    assert "over the bound" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = invoke(capsys, "dk", "rank", "10", "2")
+    assert code == 0
+
+
 def test_graph_orient_theta(capsys, tmp_path):
     path = write_json(tmp_path, "theta.json", theta_payload())
     code, out, _ = invoke(capsys, "graph", "orient", path)

@@ -12,7 +12,6 @@ from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lie import (
     LieElement,
     basis_expansion,
-    dynkin_image,
     embed_lie,
     generator_element,
     graded_class,
@@ -22,8 +21,10 @@ from jfilt.lie import (
     lie_map,
     lie_to_tensor,
     lift_lie_element,
+    lyndon_coords,
     lyndon_words,
     standard_factorization,
+    tensor_bracket,
     tensor_to_lyndon,
     witt_dimension,
 )
@@ -109,9 +110,91 @@ def test_self_bracket_vanishes():
         assert lie_bracket(u, u).is_zero
 
 
+def _dense_tensor_to_lyndon(tensor, n, degree):
+    """Reference read-back: the triangular elimination walking every Lyndon
+    word of the degree in order, whether the tensor holds it or not."""
+    work = {m: c for m, c in tensor.items() if c != 0}
+    coords = []
+    for w in hall_basis(n, degree).words:
+        c = work.get(w, 0)
+        coords.append(c)
+        if c:
+            for m, cm in basis_expansion(w).items():
+                val = work.get(m, 0) - c * cm
+                if val:
+                    work[m] = val
+                elif m in work:
+                    del work[m]
+    if work:
+        raise ValidationError("tensor is not a Lie element")
+    return LieElement(n, degree, tuple(coords))
+
+
+def _add_into(out, tensor, scale=1):
+    for m, c in tensor.items():
+        out[m] = out.get(m, 0) + scale * c
+    return out
+
+
+@st.composite
+def lie_combinations(draw, min_n=1, min_degree=1):
+    """(n, degree, tensor, coords): a random integer combination of basis
+    expansions at n <= 4 and degree <= 6, with the sparse coordinates it was
+    built from."""
+    n = draw(st.integers(min_n, 4))
+    # One letter spans nothing above degree one.
+    degree = draw(st.integers(min_degree, 6 if n > 1 else 1))
+    words = hall_basis(n, degree).words
+    picks = draw(
+        st.dictionaries(st.integers(0, len(words) - 1), st.integers(-3, 3), max_size=6)
+    )
+    tensor = {}
+    for i, c in picks.items():
+        _add_into(tensor, basis_expansion(words[i]), c)
+    return n, degree, tensor, {i: c for i, c in picks.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lie_combinations())
+def test_sparse_read_back_matches_dense_elimination(case):
+    n, degree, tensor, picked = case
+    assert lyndon_coords(tensor, n, degree) == picked
+    assert tensor_to_lyndon(tensor, n, degree) == _dense_tensor_to_lyndon(tensor, n, degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lie_combinations(min_n=2, min_degree=2), st.integers(0, 10**6), st.integers(1, 5))
+def test_non_lie_monomial_is_rejected_like_the_dense_elimination(case, seed, c):
+    # A nontrivial rotation of a Lyndon word is not a Lyndon word, and no
+    # single monomial of degree >= 2 is a Lie element, so adding one leaves
+    # the Lie span.
+    n, degree, tensor, _ = case
+    rng = random.Random(seed)
+    w = rng.choice(hall_basis(n, degree).words)
+    shift = rng.randrange(1, degree)
+    bad = _add_into(dict(tensor), {w[shift:] + w[:shift]: c})
+    message = "tensor is not a Lie element"
+    for read_back in (tensor_to_lyndon, lyndon_coords, _dense_tensor_to_lyndon):
+        with pytest.raises(ValidationError, match=message):
+            read_back(bad, n, degree)
+
+
 def test_tensor_to_lyndon_rejects_non_lie_tensor():
-    with pytest.raises(ValidationError):
-        tensor_to_lyndon({(0, 1): 1}, 2, 2)
+    for tensor in ({(0, 1): 1}, {(1, 0): 1}, {(0, 1): 1, (1, 0): 1}, {(1, 0, 0): 2}):
+        n, degree = 2, len(next(iter(tensor)))
+        for read_back in (tensor_to_lyndon, lyndon_coords, _dense_tensor_to_lyndon):
+            with pytest.raises(ValidationError, match="tensor is not a Lie element"):
+                read_back(tensor, n, degree)
+
+
+def test_tensor_to_lyndon_rejects_inhomogeneous_or_out_of_range_monomials():
+    lie = basis_expansion((0, 1))
+    message = "tensor monomials must be homogeneous over the n letters"
+    for extra in ({(0,): 1}, {(0, 1, 1): -1}, {(0, 2): 1}, {(-1, 0): 1}):
+        with pytest.raises(ValidationError, match=message):
+            tensor_to_lyndon(_add_into(dict(lie), extra), 2, 2)
+    # Zero coefficients are not monomials of the tensor.
+    assert tensor_to_lyndon(_add_into(dict(lie), {(0, 2): 0}), 2, 2).coords == (1,)
 
 
 def test_graded_class_of_commutator_words():
@@ -181,13 +264,26 @@ def test_commutator_words_match_lie_brackets():
         assert lhs == rhs
 
 
+def _dynkin_image(tensor):
+    """Left-normed bracketing on the tensor algebra.  On a homogeneous Lie
+    element of degree k it is multiplication by k (Dynkin-Specht-Wever), an
+    independent check that basis expansions are Lie elements."""
+    out = {}
+    for m, c in tensor.items():
+        part = {(m[0],): 1}
+        for letter in m[1:]:
+            part = tensor_bracket(part, {(letter,): 1})
+        _add_into(out, part, c)
+    return {m: c for m, c in out.items() if c}
+
+
 def test_dynkin_projector_scales_lie_elements():
     rng = random.Random(5)
     for n, k in ((2, 3), (3, 2), (2, 4)):
         coords = tuple(rng.randrange(-2, 3) for _ in range(witt_dimension(n, k)))
         elem = LieElement(n, k, coords)
         tensor = lie_to_tensor(elem)
-        image = dynkin_image(tensor)
+        image = _dynkin_image(tensor)
         scaled = {m: k * c for m, c in tensor.items() if c}
         assert image == scaled
 

@@ -201,6 +201,9 @@ DK_BASIS_DIGESTS = {
     (4, 2): "541981ca7be8251ec69e3870f85add02b0545a9763b8931835daa22374482069",
     (3, 3): "5f6c3e7aa073f2511955ab7841b814b724a4a34dd616e66a964bc843c31982ae",
     (5, 2): "e52419d60bee650b656c03b556ab5bac395f03e643e006a870a373b303a829fa",
+    (6, 1): "ab831f8522c92e56ac13b6416677b9b879b87fb96c630309b8ef5c4c24d75d82",
+    (3, 4): "60b1ede6581e395dc3378eab9e3390e7bc6bf3a81700ce9e42d6e844b168c6c6",
+    (4, 3): "4631140da97a5dc7486db1179445bc424152833a63f9962285b5eff64a1f480a",
 }
 BRACKET_4_2_SNF_DIGEST = (
     "80e803ace4db1602ad92c3deaf641a3ac67e584f4671a808a2c824324b2ee54b"
