@@ -36,9 +36,10 @@ from .words import (
     Y_ONLY,
     Alphabet,
     GroupWord,
+    TruncatedSeries,
     embed_word,
+    expands_through_images,
     generator,
-    lcs_weight,
     magnus_expand,
     nilpotent_equal,
     omega,
@@ -205,12 +206,24 @@ def symplectic_matrix(h: NilAut) -> Tuple[Matrix, bool]:
     return h.abelianization(), ok
 
 
+def _displacement(h: NilAut, i: int, q: int) -> TruncatedSeries:
+    """The expansion of ``h(z_i) z_i^-1`` truncated below degree ``q``.  When
+    ``h(z_i)`` is expanded through the images of its substitution record,
+    the product word is not built: the expansion is the product of the
+    expansions of ``h(z_i)`` and ``z_i^-1``."""
+    image, z_inv = h.images[i], generator(h.alphabet, i).inverse()
+    if expands_through_images(image):
+        return magnus_expand(image, q) * magnus_expand(z_inv, q)
+    return magnus_expand(image * z_inv, q)
+
+
 def filtration_degree(h: NilAut) -> int:
     """Largest ``k <= level-1`` with ``h = id`` on the class-``k`` quotient."""
     best = h.level - 1
     for i in range(h.alphabet.size):
-        w = h.images[i] * generator(h.alphabet, i).inverse()
-        best = min(best, lcs_weight(w, h.level) - 1)
+        low = _displacement(h, i, h.level).lowest_positive_degree()
+        if low is not None:
+            best = min(best, low - 1)
         if best == 0:
             break
     return best
@@ -236,8 +249,7 @@ def johnson_element(h: NilAut, k: int) -> TensorElement:
     n = 2 * g
     displacements: List[LieElement] = []
     for i in range(n):
-        w = h.images[i] * generator(h.alphabet, i).inverse()
-        series = magnus_expand(w, k + 2)
+        series = _displacement(h, i, k + 2)
         low = series.lowest_positive_degree()
         if low is not None and low <= k:
             raise PreconditionError(
@@ -422,8 +434,10 @@ def aut_from_json(data: dict) -> NilAut:
         g = int(data["g"])
         q = int(data["q"])
         raw = data["images"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad automorphism payload: %s" % (exc,))
+    if not isinstance(raw, dict):
+        raise ValidationError("bad automorphism payload: images must be an object")
     ab = Alphabet(g, FULL)
     images = []
     for i in range(ab.size):

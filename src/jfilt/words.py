@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, ValidationError
 
@@ -68,21 +69,23 @@ Letter = Tuple[int, int]
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
-    stack: List[List[int]] = []
+    held: List[Letter] = []
     for gen, exp in letters:
-        if exp == 0:
+        if not exp:
             continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
+        if held and held[-1][0] == gen:
+            exp += held[-1][1]
+            if exp:
+                held[-1] = (gen, exp)
+            else:
+                held.pop()
         else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+            held.append((gen, exp))
+    return tuple(held)
 
 
 def _inverse_letters(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
-    return tuple((g, -e) for g, e in reversed(letters))
+    return tuple([(g, -e) for g, e in reversed(letters)])
 
 
 # Most letters a word may hold once a power, a commutator or a substitution is
@@ -102,14 +105,18 @@ def _check_room(held: int, size: int) -> None:
 
 
 def _power_letters(letters: Tuple[Letter, ...], n: int, held: int = 0) -> Tuple[Letter, ...]:
-    """Letters of w^n, not yet reduced, for the reduced letters of w; the
-    result with ``held`` letters already built must fit MAX_WORD_LETTERS.
+    """Reduced letters of w^n for the reduced letters of w; the result with
+    ``held`` letters already built must fit MAX_WORD_LETTERS.
 
-    Splits w as c r c^-1 with r cyclically reduced, so that the copies of r
-    meet without cancelling and the result is reduced in one pass over
-    c r^n c^-1.  A one-letter r takes its n-th power as one letter, so
-    x^n costs nothing per unit of n and is never refused.
+    Splits w as c r c^-1 with r's first and last letters not inverse, so
+    that the copies of r meet without cancelling: at most they merge, when
+    r starts and ends on the same generator (x^2 y x^-1), and then every
+    inner seam is that one merged letter.  A one-letter r takes its n-th
+    power as one letter, so x^n costs nothing per unit of n and is never
+    refused.
     """
+    if n == 0 or not letters:
+        return ()
     if n < 0:
         letters, n = _inverse_letters(letters), -n
     k = 0
@@ -120,15 +127,42 @@ def _power_letters(letters: Tuple[Letter, ...], n: int, held: int = 0) -> Tuple[
         middle = ((core[0][0], core[0][1] * n),)
     else:
         _check_room(held, len(core) * n)
-        middle = core * n
+        (first, a), (last, b) = core[0], core[-1]
+        if first == last:
+            # a + b != 0, or the loop above would have taken this pair.
+            middle = core[:1] + (core[1:-1] + ((first, a + b),)) * (n - 1) + core[1:]
+        else:
+            middle = core * n
     return letters[:k] + middle + letters[len(letters) - k :]
+
+
+def _join(held: List[Letter], piece: Sequence[Letter]) -> None:
+    """Append the reduced letters ``piece`` to the reduced list ``held``,
+    which stays reduced: only the letters at the seam can cancel or merge."""
+    i = 0
+    while held and i < len(piece):
+        gen, exp = piece[i]
+        last, total = held[-1]
+        if last != gen:
+            break
+        total += exp
+        i += 1
+        if total:
+            held[-1] = (gen, total)
+            break
+        held.pop()
+    held.extend(piece[i:] if i else piece)
 
 
 @dataclass(frozen=True)
 class GroupWord:
     """A reduced word.  Construction merges adjacent letters on the same
     generator and drops zero exponents, so equal group elements built from
-    letter sequences that only differ by free cancellation compare equal."""
+    letter sequences that only differ by free cancellation compare equal.
+
+    Products, inverses, powers and substitutions join pieces that are
+    already reduced and in range, so they cancel only at the seams and
+    build their result with ``_reduced``, which checks nothing."""
 
     alphabet: Alphabet
     letters: Tuple[Letter, ...] = ()
@@ -149,16 +183,26 @@ class GroupWord:
                 raise ValidationError("exponent must be an integer")
         object.__setattr__(self, "letters", _reduce_letters(self.letters))
 
+    @classmethod
+    def _reduced(cls, alphabet: Alphabet, letters: Tuple[Letter, ...]) -> "GroupWord":
+        """The word of letters known to be reduced and in range."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.alphabet != other.alphabet:
             raise ValidationError("alphabet mismatch")
-        return GroupWord(self.alphabet, self.letters + other.letters)
+        held = list(self.letters)
+        _join(held, other.letters)
+        return GroupWord._reduced(self.alphabet, tuple(held))
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.alphabet, _inverse_letters(self.letters))
+        return GroupWord._reduced(self.alphabet, _inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
-        return GroupWord(self.alphabet, _power_letters(self.letters, n))
+        return GroupWord._reduced(self.alphabet, _power_letters(self.letters, n))
 
     @property
     def is_empty(self) -> bool:
@@ -172,26 +216,30 @@ class GroupWord:
 
 
 def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
-    """The word w with generator i replaced by ``images[i]``.  An image or a
-    power of one is refused before it is built if it would pass
-    MAX_WORD_LETTERS.
+    """The word w with generator i replaced by ``images[i]``, which must be
+    words over w's alphabet.  Each image, its inverse or its power joins the
+    letters built so far at one seam.  A piece is refused before it is built
+    if it would take the word past MAX_WORD_LETTERS.
 
     The result remembers w's letters and the images, so that
     ``magnus_expand`` can expand it as the product of the images' expansions
     (exact, see there) when the images w uses hold fewer letters than the
     result."""
-    letters: List[Letter] = []
+    alphabet = w.alphabet
+    if len(images) != alphabet.size:
+        raise ValidationError("need one image per generator")
+    for image in images:
+        if image.alphabet != alphabet:
+            raise ValidationError("image over the wrong alphabet")
+    held: List[Letter] = []
     for gen, exp in w.letters:
         image = images[gen].letters
-        if exp == 1:
-            _check_room(len(letters), len(image))
-            letters.extend(image)
-        elif exp == -1:
-            _check_room(len(letters), len(image))
-            letters.extend(_inverse_letters(image))
+        if exp == 1 or exp == -1:
+            _check_room(len(held), len(image))
+            _join(held, image if exp == 1 else _inverse_letters(image))
         else:
-            letters.extend(_power_letters(image, exp, held=len(letters)))
-    out = GroupWord(w.alphabet, tuple(letters))
+            _join(held, _power_letters(image, exp, held=len(held)))
+    out = GroupWord._reduced(alphabet, tuple(held))
     object.__setattr__(out, "_substituted", (w.letters, tuple(images)))
     return out
 
@@ -232,12 +280,25 @@ def embed_word(w: GroupWord, full: Alphabet) -> GroupWord:
 
 def project_y(w: GroupWord) -> GroupWord:
     """Letterwise projection of a full-alphabet word that kills every
-    x-generator and keeps the y-generators."""
+    x-generator and keeps the y-generators; the letters are reduced again,
+    since y-letters can meet where x-letters were killed.
+
+    The projection p is a homomorphism, so p(h(u)) = (p o h)(u): when w is
+    expanded through the images of its substitution record (see
+    ``magnus_expand``), the result records u's letters and the projected
+    images, projected without records of their own."""
     if w.alphabet.kind != FULL:
         raise ValidationError("projection expects a full-alphabet word")
+    out = _project(w)
+    if expands_through_images(w):
+        letters, images = w._substituted
+        object.__setattr__(out, "_substituted", (letters, tuple(map(_project, images))))
+    return out
+
+
+def _project(w: GroupWord) -> GroupWord:
     g = w.alphabet.genus
-    target = Alphabet(g, Y_ONLY)
-    return GroupWord(target, tuple((gen - g, e) for gen, e in w.letters if gen >= g))
+    return GroupWord(Alphabet(g, Y_ONLY), tuple((gen - g, e) for gen, e in w.letters if gen >= g))
 
 
 class TruncatedSeries:
@@ -395,6 +456,17 @@ def _image_factor(image: GroupWord, q: int, exp: int):
     return factor
 
 
+def expands_through_images(w: GroupWord) -> bool:
+    """Whether ``magnus_expand`` expands w through the images of its
+    substitution record: w was built by ``substitute`` and the images its
+    letters use hold fewer letters in total than w."""
+    if w._substituted is None:
+        return False
+    letters, images = w._substituted
+    used = {gen for gen, _ in letters}
+    return sum(len(images[gen].letters) for gen in used) < len(w.letters)
+
+
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
 
@@ -416,12 +488,8 @@ def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
     by_degree = _unit(q)
-    through_images = False
-    if w._substituted is not None:
+    if expands_through_images(w):
         letters, images = w._substituted
-        used = {gen for gen, _ in letters}
-        through_images = sum(len(images[gen].letters) for gen in used) < len(w.letters)
-    if through_images:
         for gen, exp in letters:
             _right_multiply(by_degree, _image_factor(images[gen], q, exp))
     else:
@@ -450,33 +518,43 @@ def lcs_weight(w: GroupWord, qmax: int) -> int:
 
 
 _GENERATOR = re.compile(r"([xy])([0-9]+)")
-_TOKEN = re.compile(r"\s*(?:([xy][0-9]+)|(\^-?[0-9]+)|(\[)|(\])|(\()|(\))|(,))")
+# One token after optional white space: a generator with an optional
+# exponent, a bare exponent, a punctuation mark, or (last) the rest of the
+# text from the first character that starts none of these.  Exponents are
+# captured without their caret.
+_TOKEN = re.compile(r"\s*(?:([xy][0-9]+)(?:\^(-?[0-9]+))?|\^(-?[0-9]+)|([\[\](),])|(\S[\s\S]*))")
+
+
+@lru_cache(maxsize=None)
+def _generator_table(alphabet: Alphabet) -> Dict[str, int]:
+    """Generator name -> letter index, filled by ``parse_word`` with each
+    name it has resolved, so a large genus costs nothing up front."""
+    return {}
+
+
+def _exponent(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ValidationError("exponent with %d digits is too long" % (len(digits),))
 
 
 def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     """Parse the word grammar: generators x<i> / y<i>, optional ^<int>
     exponents, juxtaposition for products, [u,v] for commutators, and
-    parentheses for grouping.  The empty string is the identity."""
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValidationError("unexpected input at %r" % (text[pos:].strip()[:12],))
-            break
-        tokens.append(m.group(0).strip())
-        pos = m.end()
-    tokens = [t for t in tokens if t]
-    state = {"i": 0}
+    parentheses for grouping.  The empty string is the identity.
 
-    def peek():
-        return tokens[state["i"]] if state["i"] < len(tokens) else None
-
-    def take():
-        tok = peek()
-        state["i"] += 1
-        return tok
+    The text is scanned once into tokens (name, exponent, bare exponent,
+    punctuation, rest), and a recursive descent walks them by index."""
+    if not isinstance(text, str):
+        raise ValidationError("a word must be a string, not %s" % (type(text).__name__,))
+    # Without trailing white space every scan position starts a token, so
+    # the scan never retries a position.
+    tokens = _TOKEN.findall(text.rstrip())
+    if tokens and tokens[-1][4]:
+        raise ValidationError("unexpected input at %r" % (tokens[-1][4].strip()[:12],))
+    end = len(tokens)
+    table = _generator_table(alphabet)
 
     # A sequence collects the unreduced letters of its terms in one list and
     # the whole word is reduced once at the end.  The operands of a
@@ -486,54 +564,68 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     # operands of open commutators: what a new term is built on top of.
     held: List[Sequence[Letter]] = []
 
-    def parse_sequence(stop: Tuple[str, ...]) -> List[Letter]:
+    def parse_sequence(i: int, stop: Optional[str]) -> Tuple[List[Letter], int]:
+        """Terms from token i up to the end or the punctuation ``stop``."""
         out: List[Letter] = []
         held.append(out)
-        while True:
-            tok = peek()
-            if tok is None or tok in stop:
-                held.pop()
-                return out
-            out += parse_term()
+        while i < end:
+            name, power, bare, mark, _ = tokens[i]
+            if not name:
+                if mark == stop:
+                    break
+                base, i = parse_group(i)
+                out += base
+                continue
+            gen = table.get(name)
+            if gen is None:
+                gen = table[name] = alphabet.index(name)
+            i += 1
+            if not power and i < end and tokens[i][2]:
+                power = tokens[i][2]
+                i += 1
+            out.append((gen, _exponent(power) if power else 1))
+        held.pop()
+        return out, i
 
-    def parse_term() -> Tuple[Letter, ...]:
-        tok = take()
-        if tok == "[":
-            left = _reduce_letters(parse_sequence((",",)))
-            if take() != ",":
+    def parse_group(i: int) -> Tuple[Tuple[Letter, ...], int]:
+        """A commutator or a parenthesised sequence at token i, with its
+        power if one follows."""
+        mark = tokens[i][3]
+        if mark == "[":
+            left, i = parse_sequence(i + 1, ",")
+            left = _reduce_letters(left)
+            if i == end or tokens[i][3] != ",":
                 raise ValidationError("commutator is missing a comma")
             held.append(left)
-            right = _reduce_letters(parse_sequence(("]",)))
+            right, i = parse_sequence(i + 1, "]")
+            right = _reduce_letters(right)
             held.pop()
-            if take() != "]":
+            if i == end or tokens[i][3] != "]":
                 raise ValidationError("commutator is missing a closing bracket")
             _check_room(sum(map(len, held)), 2 * (len(left) + len(right)))
             base = left + right + _inverse_letters(left) + _inverse_letters(right)
-        elif tok == "(":
-            base = tuple(parse_sequence((")",)))
-            if take() != ")":
+        elif mark == "(":
+            base, i = parse_sequence(i + 1, ")")
+            base = tuple(base)
+            if i == end or tokens[i][3] != ")":
                 raise ValidationError("unbalanced parenthesis")
-        elif tok and tok[0] in "xy":
-            base = ((alphabet.index(tok), 1),)
         else:
-            raise ValidationError("unexpected token %r" % (tok,))
-        nxt = peek()
-        if nxt and nxt.startswith("^"):
-            take()
-            try:
-                n = int(nxt[1:])
-            except ValueError:  # more digits than int() converts
-                raise ValidationError("exponent with %d digits is too long" % (len(nxt) - 1,))
+            bare = tokens[i][2]
+            raise ValidationError("unexpected token %r" % ("^" + bare if bare else mark,))
+        i += 1
+        if i < end and tokens[i][2]:
+            n = _exponent(tokens[i][2])
+            i += 1
             if len(base) == 1:
                 base = ((base[0][0], base[0][1] * n),)
             else:
                 base = _power_letters(_reduce_letters(base), n, sum(map(len, held)))
-        return base
+        return base, i
 
-    result = GroupWord(alphabet, tuple(parse_sequence(())))
-    if state["i"] != len(tokens):
+    letters, i = parse_sequence(0, None)
+    if i != end:
         raise ValidationError("trailing tokens in word")
-    return result
+    return GroupWord(alphabet, tuple(letters))
 
 
 def render_word(w: GroupWord) -> str:

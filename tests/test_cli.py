@@ -12,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jfilt.brackets
 import jfilt.cli
@@ -376,6 +378,67 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "aut", "invert", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read" in err
+
+
+# Pieces of word strings, most of them malformed on their own.
+WORD_PIECES = ["x1", "x2", "y1", "y2", "x0", "y3", "x01", "z1", "x", "^", "^2", "^-1", "^-",
+               "^99999999", "^" + "9" * 5000, "[", "]", "(", ")", ",", " ", "\t", "$"]
+# Words of weight at least 2, so that z -> z w is an automorphism.
+DEEP_WORDS = ["[x1,y1]", "[y1,x1]^2", "[x1,[x1,y1]]", "[x2,y2]^-1", "(x1 y1 x1^-1 y1^-1)^3", "[x1,y1]^99999999"]
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+word_texts = st.one_of(
+    st.lists(st.sampled_from(WORD_PIECES), max_size=12).map("".join),
+    st.lists(st.sampled_from(DEEP_WORDS), max_size=2).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def aut_documents(draw):
+    """Automorphism JSON with some images near the identity and some
+    malformed, and now and then a spoiled field or no JSON at all."""
+    g = draw(st.integers(1, 2))
+    names = ["x%d" % i for i in range(1, g + 1)] + ["y%d" % i for i in range(1, g + 1)]
+    images = {}
+    for name in names:
+        if draw(st.integers(0, 3)):
+            images[name] = "%s %s" % (name, draw(st.sampled_from(["", *DEEP_WORDS])))
+        else:
+            images[name] = draw(word_texts)
+    doc = {"g": g, "q": draw(st.integers(2, 4)), "images": images}
+    spoiled = draw(st.sampled_from([None] * 6 + ["g", "q", "images", "x1", "document"]))
+    if spoiled == "document":
+        return draw(st.one_of(st.text(max_size=20), junk.map(json.dumps)))
+    if spoiled == "x1":
+        images[spoiled] = draw(junk)
+    elif spoiled:
+        doc[spoiled] = draw(junk)
+    return json.dumps(doc)
+
+
+commands = st.sampled_from([
+    ("aut", "compose"), ("aut", "invert"), ("aut", "check-aut0"), ("aut", "degree"),
+    ("aut", "johnson"), ("lagrangian", "degree"), ("lagrangian", "jl"),
+])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(commands, aut_documents(), aut_documents())
+def test_malformed_automorphisms_exit_2_or_3_in_bounded_time(capsys, tmp_path, command, first, second):
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    paths[0].write_text(first)
+    paths[1].write_text(second)
+    files = [str(p) for p in paths] if command[1] == "compose" else [str(paths[0])]
+    start = time.perf_counter()
+    code = run([*command, *files])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert elapsed < 5.0
 
 
 def run_in_one_gib(*argv):

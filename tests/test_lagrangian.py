@@ -7,6 +7,7 @@ import pytest
 from jfilt.automorphisms import (
     NilAut,
     compose,
+    filtration_degree,
     framing_tuple,
     identity_aut,
     johnson_element,
@@ -26,7 +27,7 @@ from jfilt.lagrangian import (
     pure_braid_rank,
 )
 from jfilt.lie import graded_class
-from jfilt.words import FULL, X_ONLY, Alphabet, commutator, generator
+from jfilt.words import FULL, X_ONLY, Alphabet, GroupWord, commutator, generator, project_y
 
 
 def helper_auts(level=4):
@@ -228,3 +229,20 @@ def test_gap_table_unknown_closed_form():
     (row,) = gap_table([(2, 4)])
     assert row["closed_form"] is None and row["match"] is None
     assert row["gap"] == row["kernel_rank"] - row["braid_rank"]
+
+
+def test_chain_queries_read_the_substitution_record():
+    # Each image of the product is substituted into the images of the first
+    # factor, which hold far fewer letters: displacements and projections
+    # are expanded through them, and agree with the bare words.
+    factors = [phi_hat(random_kernel_tuple(random.Random(5), 2, 2)) for _ in range(2)]
+    h = compose(*factors)
+    ab = h.alphabet
+    bare = NilAut(ab, h.level, [GroupWord(ab, w.letters) for w in h.images])
+    bare._aut0_known = True
+    assert project_y(h.images[0])._substituted is not None
+    assert filtration_degree(h) == filtration_degree(bare) == 2
+    assert factors[0].images[0]._factors is not None
+    assert johnson_element(h, 2) == johnson_element(bare, 2)
+    assert lagrangian_degree(h) == lagrangian_degree(bare) == 2
+    assert jl_element(h, 2) == jl_element(bare, 2)

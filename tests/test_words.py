@@ -155,6 +155,45 @@ def test_power_matches_repeated_product(u, n):
     assert u ** n == expected
 
 
+def reduced_words(alphabet):
+    return st.one_of(words_over(alphabet, max_len=8, max_exp=3), cancelling_words(alphabet))
+
+
+def _plain(*pieces):
+    """The reduced letters of the plain concatenation of ``pieces``."""
+    return words._reduce_letters(letter for piece in pieces for letter in piece)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduced_words(FULL2), reduced_words(FULL2), st.integers(-4, 4))
+def test_seam_joins_equal_the_reduced_concatenation(u, v, n):
+    assert (u * v).letters == _plain(u.letters, v.letters)
+    assert u.inverse().letters == _plain(words._inverse_letters(u.letters))
+    step = u.letters if n >= 0 else words._inverse_letters(u.letters)
+    assert (u ** n).letters == _plain(*[step] * abs(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda g: st.tuples(
+    reduced_words(Alphabet(g)), st.lists(reduced_words(Alphabet(g)), min_size=2 * g, max_size=2 * g))))
+def test_substitution_equals_the_reduced_concatenation(case):
+    w, images = case
+    pieces = []
+    for gen, exp in w.letters:
+        image = images[gen].letters
+        pieces += [image if exp > 0 else words._inverse_letters(image)] * abs(exp)
+    assert words.substitute(w, images).letters == _plain(*pieces)
+
+
+def test_substitution_needs_images_over_the_word_alphabet():
+    w = parse_word("x1 y1", FULL1)
+    images = [generator(FULL1, 0), generator(FULL1, 1)]
+    assert words.substitute(w, images) == w
+    for wrong in ([generator(FULL2, 0), generator(FULL2, 2)], [generator(FULL1, 0)]):
+        with pytest.raises(ValidationError):
+            words.substitute(w, wrong)
+
+
 def test_power_examples():
     x1 = generator(FULL1, 0)
     y1 = generator(FULL1, 1)
@@ -248,6 +287,40 @@ def test_expansion_goes_through_images_only_when_they_are_shorter():
     assert len(built.letters) == 8
     assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
     assert all(image._factors is None for image in images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions(), st.integers(2, 5))
+def test_projections_expand_as_the_bare_words(case, q):
+    w, images = case
+    built = words.substitute(w, images)
+    bare = GroupWord(built.alphabet, built.letters)
+    projected = project_y(built)
+    assert projected == project_y(bare)
+    assert magnus_expand(projected, q) == magnus_expand(project_y(bare), q)
+
+
+def test_projections_keep_the_record_only_where_it_pays():
+    ab = Alphabet(2)
+    x1, x2, y1, y2 = (generator(ab, i) for i in range(4))
+    images = [x1 * y1, x2 * y2 * x1, y1, y2]
+    built = words.substitute(parse_word("(x1 x2)^5 x1^-3", ab), images)
+    bare = GroupWord(ab, built.letters)
+    assert words.expands_through_images(built)
+    projected = project_y(built)
+    assert render_word(projected) == "y1 y2 y1 y2 y1 y2 y1 y2 y1 y2 y1^-3"
+    assert projected._substituted[0] == built._substituted[0]
+    assert [render_word(p) for p in projected._substituted[1]] == ["y1", "y2", "y1", "y2"]
+    assert words.expands_through_images(projected)
+    assert magnus_expand(projected, 4) == magnus_expand(project_y(bare), 4)
+    assert projected._substituted[1][1]._factors is not None
+    # h(omega) for phi_hat of the full twist holds fewer letters than its
+    # images: no record on the projection.
+    lam = y1 * y2
+    images = [x1 * lam, x2 * lam, lam.inverse() * y1 * lam, lam.inverse() * y2 * lam]
+    built = words.substitute(omega(2), images)
+    assert not words.expands_through_images(built)
+    assert project_y(built)._substituted is None
 
 
 def test_expansion_returns_a_new_series_every_call():
@@ -361,10 +434,56 @@ def test_parse_and_render_round_trip():
     assert parse_word("(x1 y2)^2", ab) == (generator(ab, 0) * generator(ab, 4)) ** 2
 
 
+# Each malformed text and the message the parser gives for it.
+MALFORMED = {
+    "x0": "generator 'x0' out of range for genus 2",
+    "z1": "unexpected input at 'z1'",
+    "[x1 y1]": "unexpected token ']'",
+    "x1^": "unexpected input at '^'",
+    "(x1": "unbalanced parenthesis",
+    "x9": "generator 'x9' out of range for genus 2",
+    "x1]": "unexpected token ']'",
+    "x1^" + "9" * 5000: "exponent with 5000 digits is too long",
+    "(x1 y1)^-" + "9" * 5000: "exponent with 5001 digits is too long",
+    "x1^2^3": "unexpected token '^3'",
+    "x1 ^2 ^3": "unexpected token '^3'",
+    "^2": "unexpected token '^2'",
+    ",": "unexpected token ','",
+    "x1 ) x9": "unexpected token ')'",
+    "(x1 x9": "generator 'x9' out of range for genus 2",
+    "[x1": "commutator is missing a comma",
+    "[x1,y1": "commutator is missing a closing bracket",
+    "x1^-": "unexpected input at '^-'",
+    "x1 ^ 2": "unexpected input at '^ 2'",
+    "x1 $ y1 x2 y2 x1  ": "unexpected input at '$ y1 x2 y2 x'",
+    "x": "unexpected input at 'x'",
+}
+
+
 def test_parse_rejects_malformed_input():
-    for text in ("x0", "z1", "[x1 y1]", "x1^", "(x1", "x9", "x1]", "x1^" + "9" * 5000):
-        with pytest.raises(ValidationError):
+    for text, message in MALFORMED.items():
+        with pytest.raises(ValidationError) as caught:
             parse_word(text, FULL2)
+        assert str(caught.value) == message
+    with pytest.raises(ValidationError, match="^generator 'y1' not in this alphabet$"):
+        parse_word("x1 y1", Alphabet(2, "x"))
+    # Names resolve as Alphabet.index reads them, and white space is free.
+    assert parse_word(" x01\ty1 ^2\n", FULL2) == word(FULL2, (0, 1), (2, 2))
+
+
+def test_parse_resolves_names_at_any_genus():
+    # Names are resolved one by one as they occur, so a huge genus costs
+    # nothing up front.
+    w, seconds = _timed(parse_word, "x1 y1000000000^-2", Alphabet(10**9))
+    assert w.letters == ((0, 1), (2 * 10**9 - 1, -2))
+    assert seconds < 1.0
+
+
+def test_parse_scans_trailing_white_space_once():
+    _, seconds = _timed(parse_word, "x1" + " " * 200000, FULL2)
+    assert seconds < 1.0
+    with pytest.raises(ValidationError, match="unexpected input at '\\$'"):
+        parse_word(" " * 200000 + "$" + " " * 200000, FULL2)
 
 
 def test_power_and_commutator_growth_is_capped(monkeypatch):
