@@ -170,9 +170,12 @@ class GroupWord:
     # Not fields, so a plain word pays nothing for them.  ``substitute`` sets
     # ``_substituted`` on its result to the letters and images it was built
     # from; ``magnus_expand`` sets ``_factors`` on an image word to the
-    # factor terms it expanded, keyed by (cutoff, exponent).
+    # factor terms it expanded, keyed by (cutoff, exponent); ``project_y``
+    # sets ``_projected`` on an image word to its projection, so the factors
+    # expanded from that are kept as well.
     _substituted = None
     _factors = None
+    _projected = None
 
     def __post_init__(self):
         size = self.alphabet.size
@@ -286,13 +289,18 @@ def project_y(w: GroupWord) -> GroupWord:
     The projection p is a homomorphism, so p(h(u)) = (p o h)(u): when w is
     expanded through the images of its substitution record (see
     ``magnus_expand``), the result records u's letters and the projected
-    images, projected without records of their own."""
+    images, projected without records of their own and kept on the images."""
     if w.alphabet.kind != FULL:
         raise ValidationError("projection expects a full-alphabet word")
     out = _project(w)
     if expands_through_images(w):
         letters, images = w._substituted
-        object.__setattr__(out, "_substituted", (letters, tuple(map(_project, images))))
+        projected = []
+        for image in images:
+            if image._projected is None:
+                object.__setattr__(image, "_projected", _project(image))
+            projected.append(image._projected)
+        object.__setattr__(out, "_substituted", (letters, tuple(projected)))
     return out
 
 

@@ -314,6 +314,8 @@ def test_projections_keep_the_record_only_where_it_pays():
     assert words.expands_through_images(projected)
     assert magnus_expand(projected, 4) == magnus_expand(project_y(bare), 4)
     assert projected._substituted[1][1]._factors is not None
+    # The projected images are kept on the images, with their factors.
+    assert project_y(built)._substituted[1][1] is images[1]._projected is projected._substituted[1][1]
     # h(omega) for phi_hat of the full twist holds fewer letters than its
     # images: no record on the projection.
     lam = y1 * y2
