@@ -38,7 +38,6 @@ from .words import (
     GroupWord,
     TruncatedSeries,
     embed_word,
-    expands_through_images,
     generator,
     magnus_expand,
     nilpotent_equal,
@@ -207,14 +206,10 @@ def symplectic_matrix(h: NilAut) -> Tuple[Matrix, bool]:
 
 
 def _displacement(h: NilAut, i: int, q: int) -> TruncatedSeries:
-    """The expansion of ``h(z_i) z_i^-1`` truncated below degree ``q``.  When
-    ``h(z_i)`` is expanded through the images of its substitution record,
-    the product word is not built: the expansion is the product of the
-    expansions of ``h(z_i)`` and ``z_i^-1``."""
-    image, z_inv = h.images[i], generator(h.alphabet, i).inverse()
-    if expands_through_images(image):
-        return magnus_expand(image, q) * magnus_expand(z_inv, q)
-    return magnus_expand(image * z_inv, q)
+    """The expansion of ``h(z_i) z_i^-1`` truncated below degree ``q``, as the
+    product of the two expansions, so ``h(z_i)`` keeps its substitution
+    record and the product word is never built."""
+    return magnus_expand(h.images[i], q) * magnus_expand(generator(h.alphabet, i).inverse(), q)
 
 
 def filtration_degree(h: NilAut) -> int:

@@ -170,12 +170,9 @@ class GroupWord:
     # Not fields, so a plain word pays nothing for them.  ``substitute`` sets
     # ``_substituted`` on its result to the letters and images it was built
     # from; ``magnus_expand`` sets ``_factors`` on an image word to the
-    # factor terms it expanded, keyed by (cutoff, exponent); ``project_y``
-    # sets ``_projected`` on an image word to its projection, so the factors
-    # expanded from that are kept as well.
+    # factor terms it expanded, keyed by (cutoff, exponent).
     _substituted = None
     _factors = None
-    _projected = None
 
     def __post_init__(self):
         size = self.alphabet.size
@@ -205,6 +202,8 @@ class GroupWord:
         return GroupWord._reduced(self.alphabet, _inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
+        if not isinstance(n, int):
+            raise ValidationError("exponent must be an integer")
         return GroupWord._reduced(self.alphabet, _power_letters(self.letters, n))
 
     @property
@@ -283,30 +282,12 @@ def embed_word(w: GroupWord, full: Alphabet) -> GroupWord:
 
 def project_y(w: GroupWord) -> GroupWord:
     """Letterwise projection of a full-alphabet word that kills every
-    x-generator and keeps the y-generators; the letters are reduced again,
-    since y-letters can meet where x-letters were killed.
-
-    The projection p is a homomorphism, so p(h(u)) = (p o h)(u): when w is
-    expanded through the images of its substitution record (see
-    ``magnus_expand``), the result records u's letters and the projected
-    images, projected without records of their own and kept on the images."""
+    x-generator and keeps the y-generators."""
     if w.alphabet.kind != FULL:
         raise ValidationError("projection expects a full-alphabet word")
-    out = _project(w)
-    if expands_through_images(w):
-        letters, images = w._substituted
-        projected = []
-        for image in images:
-            if image._projected is None:
-                object.__setattr__(image, "_projected", _project(image))
-            projected.append(image._projected)
-        object.__setattr__(out, "_substituted", (letters, tuple(projected)))
-    return out
-
-
-def _project(w: GroupWord) -> GroupWord:
     g = w.alphabet.genus
-    return GroupWord(Alphabet(g, Y_ONLY), tuple((gen - g, e) for gen, e in w.letters if gen >= g))
+    target = Alphabet(g, Y_ONLY)
+    return GroupWord(target, tuple((gen - g, e) for gen, e in w.letters if gen >= g))
 
 
 class TruncatedSeries:
@@ -464,17 +445,6 @@ def _image_factor(image: GroupWord, q: int, exp: int):
     return factor
 
 
-def expands_through_images(w: GroupWord) -> bool:
-    """Whether ``magnus_expand`` expands w through the images of its
-    substitution record: w was built by ``substitute`` and the images its
-    letters use hold fewer letters in total than w."""
-    if w._substituted is None:
-        return False
-    letters, images = w._substituted
-    used = {gen for gen, _ in letters}
-    return sum(len(images[gen].letters) for gen in used) < len(w.letters)
-
-
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
 
@@ -496,8 +466,12 @@ def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
     by_degree = _unit(q)
-    if expands_through_images(w):
+    through_images = False
+    if w._substituted is not None:
         letters, images = w._substituted
+        used = {gen for gen, _ in letters}
+        through_images = sum(len(images[gen].letters) for gen in used) < len(w.letters)
+    if through_images:
         for gen, exp in letters:
             _right_multiply(by_degree, _image_factor(images[gen], q, exp))
     else:

@@ -206,6 +206,11 @@ def test_power_examples():
     # A power whose base is one letter up to conjugation is built in one
     # step, however large the exponent.
     assert (x1 * y1 * x1.inverse()) ** 10**15 == word(FULL1, (0, 1), (1, 10**15), (0, -1))
+    for bad in (1.5, 0.5, 2.0):
+        with pytest.raises(ValidationError, match="exponent must be an integer"):
+            (x1 * y1) ** bad
+        with pytest.raises(ValidationError, match="exponent must be an integer"):
+            x1 ** bad
 
 
 def _reference_magnus(w, q):
@@ -287,42 +292,6 @@ def test_expansion_goes_through_images_only_when_they_are_shorter():
     assert len(built.letters) == 8
     assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
     assert all(image._factors is None for image in images)
-
-
-@settings(max_examples=80, deadline=None)
-@given(substitutions(), st.integers(2, 5))
-def test_projections_expand_as_the_bare_words(case, q):
-    w, images = case
-    built = words.substitute(w, images)
-    bare = GroupWord(built.alphabet, built.letters)
-    projected = project_y(built)
-    assert projected == project_y(bare)
-    assert magnus_expand(projected, q) == magnus_expand(project_y(bare), q)
-
-
-def test_projections_keep_the_record_only_where_it_pays():
-    ab = Alphabet(2)
-    x1, x2, y1, y2 = (generator(ab, i) for i in range(4))
-    images = [x1 * y1, x2 * y2 * x1, y1, y2]
-    built = words.substitute(parse_word("(x1 x2)^5 x1^-3", ab), images)
-    bare = GroupWord(ab, built.letters)
-    assert words.expands_through_images(built)
-    projected = project_y(built)
-    assert render_word(projected) == "y1 y2 y1 y2 y1 y2 y1 y2 y1 y2 y1^-3"
-    assert projected._substituted[0] == built._substituted[0]
-    assert [render_word(p) for p in projected._substituted[1]] == ["y1", "y2", "y1", "y2"]
-    assert words.expands_through_images(projected)
-    assert magnus_expand(projected, 4) == magnus_expand(project_y(bare), 4)
-    assert projected._substituted[1][1]._factors is not None
-    # The projected images are kept on the images, with their factors.
-    assert project_y(built)._substituted[1][1] is images[1]._projected is projected._substituted[1][1]
-    # h(omega) for phi_hat of the full twist holds fewer letters than its
-    # images: no record on the projection.
-    lam = y1 * y2
-    images = [x1 * lam, x2 * lam, lam.inverse() * y1 * lam, lam.inverse() * y2 * lam]
-    built = words.substitute(omega(2), images)
-    assert not words.expands_through_images(built)
-    assert project_y(built)._substituted is None
 
 
 def test_expansion_returns_a_new_series_every_call():
