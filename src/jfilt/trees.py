@@ -11,7 +11,9 @@ kernel of the bracket contraction H (x) L_{k+1} -> L_{k+2}.  That landing is
 checked on every call.  ``span_check`` certifies that these images fill D_k
 at desk scale, using only the labelings of one caterpillar shape: the IHX
 relation writes every tree as an integer sum of caterpillars, and AS turns
-every change of cyclic order into a sign.
+every change of cyclic order into a sign.  AS also means that only the
+labelings with increasing labels on the leaves of each end vertex need
+building; the others are zero or minus one of those.
 
 Half-edges are written ``"vertexid.slot"`` in JSON and handled as
 ``(vertexid, slot)`` tuples internally.  The JSON schema:
@@ -28,8 +30,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_rank
 from .errors import InvariantError, PreconditionError, ValidationError
@@ -431,6 +433,19 @@ def assemble_unitrivalent(
     return g
 
 
+def _caterpillar_labelings(n: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """Basis labelings of the degree-k caterpillar, one per AS class that
+    can be nonzero: the two leaves at each end vertex carry strictly
+    increasing labels (all three at k = 1)."""
+    if k == 1:
+        return combinations(range(n), 3)
+    ends = list(combinations(range(n), 2))
+    return (
+        head + middle + tail
+        for head, middle, tail in product(ends, product(range(n), repeat=k - 2), ends)
+    )
+
+
 def span_check(n: int, k: int) -> Tuple[int, int]:
     """The rank over Q of the span of all degree-k tree images, and the rank
     of D_k, for labels of rank n.
@@ -438,17 +453,24 @@ def span_check(n: int, k: int) -> Tuple[int, int]:
     IHX is an integral relation that ``tree_to_dk`` respects, and it rewrites
     every tree as an integer sum of caterpillars (the path t0 - t1 - ... with
     leaves on both ends); AS turns a flip of any vertex into a sign.  So the
-    n^(k+2) basis labelings of the one caterpillar shape, without flips, span
-    the same lattice over Z as every tree with every flip (Levine, "Labeled
-    binary planar trees and quasi-Lie algebras", AGT 6, 2006).
+    basis labelings of the one caterpillar shape, without flips, span the
+    same lattice over Z as every tree with every flip (Levine, "Labeled
+    binary planar trees and quasi-Lie algebras", AGT 6, 2006).  AS also cuts
+    those labelings down: swapping the labels of two leaves on one vertex
+    flips that vertex, so the image changes sign, and is zero when the two
+    labels are equal.  Only labelings with strictly increasing labels on the
+    two leaves at each end vertex (on all three at k = 1) are built: C(n, 3)
+    at k = 1 and C(n, 2)^2 n^(k-2) otherwise, instead of n^(k+2).  Each
+    image left out is zero or minus one that is kept, so the lattice, up to
+    the sign of its rows, is the same.
     """
-    if not (1 <= n <= 4 and 1 <= k <= 3):
-        raise PreconditionError("span_check is limited to n <= 4, k <= 3")
-    # Images repeat up to sign (1024 caterpillars, 49 lines at (4, 3)), and the
-    # rank's transforms grow with the square of the row count: keep one each.
+    if not (1 <= k <= 6 and 1 <= n and n ** (k + 2) <= 4096):
+        raise PreconditionError("span_check needs n >= 1, 1 <= k <= 6 and n^(k+2) <= 4096")
+    # Images still repeat up to sign (144 labelings, 48 lines at (4, 3)), and
+    # the rank's work grows with the row count: keep one row per line.
     caterpillar = [(i, i + 1) for i in range(k - 1)]
     rows = set()
-    for labels in product(range(n), repeat=k + 2):
+    for labels in _caterpillar_labelings(n, k):
         coords = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels)).coords
         lead = next((c for c in coords if c), 0)
         rows.add(coords if lead >= 0 else tuple(-c for c in coords))
