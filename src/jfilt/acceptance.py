@@ -294,13 +294,13 @@ def criterion_10_property_suite(seed: int = 0) -> Tuple[bool, str]:
         return False, "vertex flip did not negate the tree image"
 
     # Kernel membership: 500 random trees of degree <= 4, plus fresh
-    # obstruction tensors.
-    for trial in range(500):
+    # obstruction tensors.  ``tree_to_dk`` checks its image against
+    # ``bracket_map`` itself and raises ``InvariantError``, which
+    # ``run_all`` counts as a failure.
+    for _ in range(500):
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
-        image = tree_to_dk(random_labeled_tree(rng, n, k))
-        if not bracket_map(image).is_zero:
-            return False, "tree image left the kernel at trial %d" % trial
+        tree_to_dk(random_labeled_tree(rng, n, k))
     for g, k in [(2, 1), (3, 2)]:
         j = johnson_element(phi_hat(random_kernel_tuple(rng, g, k)), k)
         if not bracket_map(j).is_zero:

@@ -108,6 +108,8 @@ def identity_aut(g: int, q: int) -> NilAut:
 
 
 def is_identity(h: NilAut) -> bool:
+    """Whether ``h`` is the identity at its own level.  Public API, exported
+    from ``jfilt``; nothing inside the package needs it."""
     return h == identity_aut(h.genus, h.level)
 
 
@@ -297,6 +299,8 @@ class LongitudeTuple:
 
 
 def trivial_tuple(g: int, q: int, kind: str = Y_ONLY) -> LongitudeTuple:
+    """The tuple whose every entry is the empty word.  Public API, exported
+    from ``jfilt``; nothing inside the package needs it."""
     ab = Alphabet(g, kind)
     return LongitudeTuple(g, q, kind, tuple(GroupWord(ab) for _ in range(g)))
 

@@ -38,12 +38,13 @@ from .lie import (
     tensor_bracket,
     witt_dimension,
 )
-from .snf import Matrix, integer_rank, smith_normal_form
+from .snf import Matrix, eliminate
 
 # Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
-# builds in a couple of seconds, (10, 2) has 8.2 million.  The dense matrix is
-# the memory bound of the matrix route, so it is checked before anything is
-# allocated.
+# its kernel basis takes about a second, (10, 2) has 8.2 million.  The matrix
+# route keeps only nonzero entries, so the bound guards its time and the size
+# of its output (a basis of about rank x columns entries), not a dense
+# allocation; it is checked before anything is built.
 MAX_MATRIX_CELLS = 4 * 10**6
 
 
@@ -128,13 +129,10 @@ def bracket_map(t: TensorElement) -> LieElement:
     return LieElement.from_sparse(t.n, t.level + 2, lyndon_coords(out, t.n, t.level + 2))
 
 
-def bracket_matrix(n: int, k: int) -> Matrix:
-    """Matrix of the contraction in the ordered bases.
-
-    Rows are indexed by the degree ``k+2`` Lyndon basis, columns by the
-    generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1`` basis.
-    Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells.
-    """
+def _bracket_rows(n: int, k: int) -> Tuple[List[Dict[int, int]], int]:
+    """The contraction matrix as sparse rows (column index to nonzero
+    entry), and its column count.  Raises ``PreconditionError`` past
+    ``MAX_MATRIX_CELLS`` cells, before anything is built."""
     if k < 1:
         raise ValidationError("level must be at least 1")
     rows = witt_dimension(n, k + 2)
@@ -145,14 +143,29 @@ def bracket_matrix(n: int, k: int) -> Matrix:
             % (n, k, cells, MAX_MATRIX_CELLS)
         )
     src = hall_basis(n, k + 1).words
-    matrix = [[0] * (n * len(src)) for _ in range(rows)]
+    out: List[Dict[int, int]] = [{} for _ in range(rows)]
     for a in range(n):
         for j, u in enumerate(src):
             col = a * len(src) + j
             # Built from a basis expansion, so homogeneous over the n letters.
             image = lyndon_coords(tensor_bracket({(a,): 1}, basis_expansion(u)), n, k + 2)
             for r, c in image.items():
-                matrix[r][col] = c
+                out[r][col] = c
+    return out, n * len(src)
+
+
+def bracket_matrix(n: int, k: int) -> Matrix:
+    """Matrix of the contraction in the ordered bases.
+
+    Rows are indexed by the degree ``k+2`` Lyndon basis, columns by the
+    generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1`` basis.
+    Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells.
+    """
+    rows, cols = _bracket_rows(n, k)
+    matrix = [[0] * cols for _ in rows]
+    for out, row in zip(matrix, rows):
+        for c, x in row.items():
+            out[c] = x
     return matrix
 
 
@@ -169,17 +182,25 @@ def dk_rank(n: int, k: int, method: str = "formula") -> int:
     if method == "formula":
         return n * witt_dimension(n, k + 1) - witt_dimension(n, k + 2)
     if method == "matrix":
-        matrix = bracket_matrix(n, k)
-        cols = len(matrix[0]) if matrix else n * witt_dimension(n, k + 1)
-        return cols - integer_rank(matrix)
+        rows, cols = _bracket_rows(n, k)
+        diagonal = eliminate(rows, cols)[0]
+        return cols - sum(1 for d in diagonal if d)
     raise ValidationError("unknown method %r" % (method,))
 
 
 def dk_basis(n: int, k: int) -> List[TensorElement]:
-    """Saturated integer basis of the contraction kernel at level ``k``."""
-    matrix = bracket_matrix(n, k)
-    dec = smith_normal_form(matrix)
-    out = [TensorElement(n, k, tuple(vec)) for vec in dec.kernel_basis()]
+    """Saturated integer basis of the contraction kernel at level ``k``:
+    the columns of the Smith form's ``V`` at zero diagonal places."""
+    rows, cols = _bracket_rows(n, k)
+    diagonal, _, vt = eliminate(rows, cols, want_v=True)
+    diagonal += [0] * (cols - len(diagonal))
+    out = []
+    for d, col in zip(diagonal, vt):
+        if d == 0:
+            coords = [0] * cols
+            for i, x in col.items():
+                coords[i] = x
+            out.append(TensorElement(n, k, tuple(coords)))
     for elem in out:
         if not bracket_map(elem).is_zero:
             raise InvariantError("kernel basis vector fails the contraction")

@@ -37,7 +37,7 @@ from .automorphisms import (
 )
 from .brackets import a1_dimensions, dk_basis, dk_rank, tensor_to_json
 from .errors import InvariantError, NotOrientable, PreconditionError, ValidationError
-from .lagrangian import gap_table, jl_element, lagrangian_degree, cocycle_check
+from .lagrangian import MAX_GAP_ROWS, gap_table, jl_element, lagrangian_degree, cocycle_check
 from .lie import witt_dimension
 from .orientation import (
     census,
@@ -277,6 +277,11 @@ def _cmd_stringlink(args) -> None:
 def _cmd_lagrangian(args) -> int:
     if args.action == "gap-table":
         _check_degree(args.kmax, "kmax")
+        if max(args.gmax - 1, 0) * args.kmax > MAX_GAP_ROWS:
+            raise PreconditionError(
+                "gap table of (gmax - 1) * kmax = %d rows exceeds the bound of %d"
+                % ((args.gmax - 1) * args.kmax, MAX_GAP_ROWS)
+            )
         pairs = [
             (g, k)
             for k in range(1, args.kmax + 1)

@@ -158,13 +158,26 @@ def gap_closed_form(g: int, k: int) -> Optional[int]:
     return None
 
 
+# Rows ``jfilt lagrangian gap-table`` accepts: each costs O(k) here, and the
+# largest table allowed prints in a few seconds.
+MAX_GAP_ROWS = 10**5
+
+
 def gap_table(pairs: Sequence[Tuple[int, int]]) -> List[Dict[str, object]]:
     """One row per ``(g, k)``: kernel rank, braid-span rank, their gap, the
     closed form when known, and whether the two agree."""
     rows: List[Dict[str, object]] = []
+    # k -> (g, pure_braid_rank(g, k)) of the last row at that k, so a run of
+    # consecutive g adds one term per row instead of re-summing g terms.
+    last: Dict[int, Tuple[int, int]] = {}
     for g, k in pairs:
         kernel = dk_rank(g, k)
-        braid = pure_braid_rank(g, k)
+        prev = last.get(k)
+        if prev is not None and prev[0] == g - 1:
+            braid = prev[1] + witt_dimension(g - 1, k + 1)
+        else:
+            braid = pure_braid_rank(g, k)
+        last[k] = (g, braid)
         gap = kernel - braid
         closed = gap_closed_form(g, k)
         rows.append(

@@ -13,21 +13,41 @@ every matrix question in the package: saturated kernel bases (``dk_basis``),
 invertibility over Z (``NilAut`` accepts an abelianization only when every
 invariant factor is 1), the integer inverse (``V U`` when ``U A V = I``) and
 the rank over Q (``integer_rank``, the count of nonzero invariant factors).
-The two questions that read only the diagonal, invertibility and the rank,
-run the same elimination without building ``U`` and ``V``.
-Pivots of least absolute value keep entries small, and the matrices built
-here are mostly 0 and +-1, so nearly every pivot is a unit, which divides
-everything: no divisibility scan of the trailing block is needed.  On
-``bracket_matrix(6, 2)`` (315 x 420) it takes about 0.05 s, against 0.15 s for
-Gaussian elimination over ``Fraction`` (CPython 3.11, 2-vCPU x86-64 host).
+
+There is one elimination, ``eliminate``, and it is sparse: each row is a dict
+from column to nonzero entry, so a step touches only the entries that are
+there; the contraction matrices of ``dk_basis`` are 93-99.5% zeros, the
+more the larger.  A
+column swap only exchanges two places of a permutation.  ``U`` and ``V`` are
+sparse too and each is built only when asked for: the diagonal questions
+(invertibility, the rank) build neither, and ``dk_basis`` builds only ``V``,
+reading its kernel vectors straight off it.  The dense entry points
+(``smith_normal_form``, ``invariant_factors``, ``integer_rank``) convert their
+matrix and call the same routine.
+
+The elimination takes the pivots in a fixed order, which is what makes ``U``
+and ``V``, and so the kernel basis ``dk_basis`` returns, the same on every
+run: the pivot is an entry of least absolute value in the trailing block,
+from the first row in row order that holds one, at the smallest column
+position in that row; the row step then runs down the rows in order, the
+column step along the column positions in order, and each stops at the first
+remainder, which becomes the pivot; a pivot that is not a unit is checked
+against the block, and the first row holding an entry it does not divide is
+added to the pivot row.  Least pivots keep entries small, and the matrices
+built here are mostly 0 and +-1, so nearly every pivot is a unit, which
+divides everything: the divisibility scan is then skipped.  On
+``bracket_matrix(6, 2)`` (315 x 420, 0.5% nonzero) ``smith_normal_form``
+takes about 0.01 s and ``integer_rank`` about 0.007 s (CPython 3.11, 2-vCPU
+x86-64 host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 Matrix = List[List[int]]
+Row = Dict[int, int]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -87,149 +107,183 @@ class SmithDecomposition:
         return out
 
 
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _sub(dst: Row, src: Row, q: int) -> None:
+    """``dst -= q * src`` for a nonzero ``q``, dropping the entries that
+    cancel.  With ``q != 0`` a key missing from ``dst`` cannot cancel, so
+    the ``del`` only ever removes a key that is there."""
+    for c, v in src.items():
+        x = dst.get(c, 0) - q * v
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
 
 
-def _swap_cols(m: Matrix, i: int, j: int, start: int) -> None:
-    for row in m[start:]:
-        row[i], row[j] = row[j], row[i]
+def eliminate(rows: List[Row], cols: int, want_u: bool = False, want_v: bool = False):
+    """The Smith elimination of the sparse ``rows`` (consumed) with ``cols``
+    columns: the nonnegative diagonal, ``U`` as sparse rows when ``want_u``,
+    and ``V`` transposed (sparse row ``j`` is column ``j`` of ``V``) when
+    ``want_v``, else ``None`` for each.  The diagonal does not depend on
+    which transforms are kept.
 
+    Rows stay in a list and are swapped as references.  Each row is keyed by
+    its logical column, the column's index in the input; a column swap only
+    exchanges two places of the permutation ``colat`` (physical position to
+    logical column) and its inverse ``pos``.  The rows of ``V`` transposed
+    are kept by logical column too, so they never move until the end."""
+    nrows = len(rows)
+    u = [{i: 1} for i in range(nrows)] if want_u else None
+    vt = [{j: 1} for j in range(cols)] if want_v else None
+    pos = list(range(cols))
+    colat = list(range(cols))
 
-def _add_row(m: Matrix, src: int, dst: int, factor: int, start: int = 0) -> None:
-    srow, drow = m[src], m[dst]
-    for j in range(start, len(drow)):
-        drow[j] += factor * srow[j]
-
-
-def _eliminate(matrix: Sequence[Sequence[int]], transforms: bool):
-    """The Smith elimination: the nonnegative diagonal, with ``U`` and ``V``
-    transposed when ``transforms`` is set, else ``None`` for both.  The
-    diagonal does not depend on whether the transforms are kept."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    work = [list(row) for row in matrix]
-    for row in work:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
-    # V is kept transposed, so its column operations are row operations.
-    u, vt = (identity_matrix(rows), identity_matrix(cols)) if transforms else (None, None)
-
-    limit = min(rows, cols)
+    diagonal: List[int] = []
+    limit = min(nrows, cols)
     for t in range(limit):
-        # Find the entry of least nonzero absolute value in the trailing block.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            wrow = work[i]
-            for j in range(t, cols):
-                e = wrow[j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
+        # The entry of least absolute value in the trailing block: the first
+        # row, in physical order, holding it, and in that row the smallest
+        # position.  Rows from ``t`` on hold no entry left of position ``t``.
+        # A unit is least wherever it is, so the first row holding one wins.
+        pi, prow, best = t, rows[t], 1
+        while 1 not in prow.values() and -1 not in prow.values():
+            pi += 1
+            if pi < nrows:
+                prow = rows[pi]
+                continue
+            best = 0
+            for i in range(t, nrows):
+                row = rows[i]
+                if row:
+                    m = min(map(abs, row.values()))
+                    if not best or m < best:
+                        best, pi, prow = m, i, row
+            break
+        if not best:
             break  # trailing block is zero
-        pi, pj = pivot
+        if len(prow) == 1:
+            (ct,) = prow
+        else:
+            ct = min((c for c, v in prow.items() if v == best or v == -best), key=pos.__getitem__)
         if pi != t:
-            _swap_rows(work, pi, t)
-            if transforms:
-                _swap_rows(u, pi, t)
+            rows[pi], rows[t] = rows[t], prow
+            if u is not None:
+                u[pi], u[t] = u[t], u[pi]
+        pj = pos[ct]
         if pj != t:
-            _swap_cols(work, pj, t, t)
-            if transforms:
-                _swap_rows(vt, pj, t)
+            other = colat[t]
+            colat[t], colat[pj] = ct, other
+            pos[ct], pos[other] = t, pj
 
         # Clear the pivot row and column; repeat because remainders can
         # reintroduce entries until the pivot divides everything it meets.
-        # Rows and columns before ``t`` are already clear, so row operations
-        # start at column ``t`` and column swaps at row ``t``.
         while True:
-            p = work[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                e = work[i][t]
-                if e == 0:
+            p = prow[ct]
+            for i in range(t + 1, nrows):
+                if ct not in rows[i]:
                     continue
-                q = e // p
-                _add_row(work, t, i, -q, t)
-                if transforms:
-                    _add_row(u, t, i, -q)
-                if work[i][t] != 0:
+                row = rows[i]
+                q = row[ct] // p
+                if q:
+                    _sub(row, prow, q)
+                    if u is not None:
+                        _sub(u[i], u[t], q)
+                if ct in row:
                     # remainder smaller than |p|: promote it to pivot
-                    _swap_rows(work, i, t)
-                    if transforms:
-                        _swap_rows(u, i, t)
-                    dirty = True
+                    rows[i], rows[t] = prow, row
+                    if u is not None:
+                        u[i], u[t] = u[t], u[i]
+                    prow = row
                     break
-            if dirty:
-                continue
-            # Column ``t`` is now zero off the pivot, so a column operation
-            # changes only row ``t`` of the work matrix.
-            prow = work[t]
-            for j in range(t + 1, cols):
-                e = prow[j]
-                if e == 0:
-                    continue
-                q = e // p
-                prow[j] = e - q * p
-                if transforms:
-                    _add_row(vt, t, j, -q)
-                if prow[j] != 0:
-                    _swap_cols(work, j, t, t)
-                    if transforms:
-                        _swap_rows(vt, j, t)
-                    dirty = True
+            else:
+                # Column ``ct`` is now zero off the pivot, so a column
+                # operation changes only the pivot row.  Taken in physical
+                # order, the operations stop at the first entry the pivot
+                # does not divide, which becomes the pivot; each operation
+                # before it leaves a zero, and none reads another's result.
+                if len(prow) > 1:
+                    stops = [pos[c] for c, e in prow.items() if e % p]
+                    stop = min(stops) if stops else cols
+                    for c in [c for c in prow if c != ct and pos[c] <= stop]:
+                        e = prow[c]
+                        q = e // p
+                        if q and vt is not None:
+                            _sub(vt[c], vt[ct], q)
+                        if pos[c] < stop:
+                            del prow[c]
+                    if stops:
+                        c = colat[stop]
+                        prow[c] -= (prow[c] // p) * p
+                        colat[t], colat[stop] = c, ct
+                        pos[c], pos[ct] = t, stop
+                        ct = c
+                        continue
+                # Row and column are clear.  A unit pivot divides the rest of
+                # the block; any other must be checked, and if an entry is
+                # not a multiple, the first row holding one is folded in and
+                # the step restarts.
+                if p == 1 or p == -1:
                     break
-            if dirty:
-                continue
-            # Row and column are clear.  A unit pivot divides the rest of the
-            # block; any other must be checked, and if an entry is not a
-            # multiple, its row is folded in and the step restarts.
-            if abs(p) == 1:
-                break
-            offender = None
-            for i in range(t + 1, rows):
-                wrow = work[i]
-                for j in range(t + 1, cols):
-                    if wrow[j] % p != 0:
-                        offender = i
+                for i in range(t + 1, nrows):
+                    if any(v % p for v in rows[i].values()):
+                        _sub(prow, rows[i], -1)
+                        if u is not None:
+                            _sub(u[t], u[i], -1)
                         break
-                if offender is not None:
+                else:
                     break
-            if offender is None:
-                break
-            _add_row(work, offender, t, 1, t)
-            if transforms:
-                _add_row(u, offender, t, 1)
+        # Row ``t`` and the column at position ``t`` are final.  Normalise
+        # the sign to nonnegative by flipping that column of V.
+        if p < 0:
+            p = -p
+            if vt is not None:
+                vt[ct] = {c: -x for c, x in vt[ct].items()}
+        diagonal.append(p)
 
-    diagonal = [work[i][i] for i in range(limit)]
-    # Normalise signs to nonnegative by flipping columns of V.
-    for i, d in enumerate(diagonal):
-        if d < 0:
-            diagonal[i] = -d
-            if transforms:
-                vt[i] = [-x for x in vt[i]]
+    diagonal += [0] * (limit - len(diagonal))
     # No reordering is needed: each pivot divides its whole trailing block
     # before the next step starts, and later steps only take integer
     # combinations inside that block, so each diagonal entry divides the next
     # and the zeros, left once the block vanishes, come last.
+    if vt is not None:
+        vt = [vt[c] for c in colat]
     return diagonal, u, vt
+
+
+def sparse_rows(matrix: Sequence[Sequence[int]]) -> Tuple[List[Row], int]:
+    """The nonzero entries of each row of a dense matrix, and its width."""
+    cols = len(matrix[0]) if matrix else 0
+    out = []
+    for row in matrix:
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+        entries = {}
+        for j, e in enumerate(row):
+            if e:
+                entries[j] = e
+        out.append(entries)
+    return out, cols
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Compute ``U A V = D`` with unimodular ``U``, ``V`` and SNF diagonal ``D``."""
-    diagonal, u, vt = _eliminate(matrix, transforms=True)
-    return SmithDecomposition(rows=len(u), cols=len(vt), U=u, V=transpose(vt), diagonal=diagonal)
+    rows, cols = sparse_rows(matrix)
+    diagonal, u, vt = eliminate(rows, cols, want_u=True, want_v=True)
+    dense_u = [[0] * len(u) for _ in u]
+    for out, row in zip(dense_u, u):
+        for c, x in row.items():
+            out[c] = x
+    dense_v = [[0] * cols for _ in range(cols)]
+    for j, col in enumerate(vt):
+        for i, x in col.items():
+            dense_v[i][j] = x
+    return SmithDecomposition(rows=len(u), cols=cols, U=dense_u, V=dense_v, diagonal=diagonal)
 
 
 def invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
     """The diagonal of the Smith form, found without building ``U`` or
-    ``V``: memory linear in the matrix."""
-    return _eliminate(matrix, transforms=False)[0]
+    ``V``: memory linear in the nonzero entries."""
+    rows, cols = sparse_rows(matrix)
+    return eliminate(rows, cols)[0]
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:

@@ -320,7 +320,8 @@ def _as_vector(n: int, label) -> Tuple[int, ...]:
 
 
 def tripod(n: int, a, b, c) -> ClasperGraph:
-    """Single trivalent vertex with three labeled leaves (cyclic order a,b,c)."""
+    """Single trivalent vertex with three labeled leaves (cyclic order a,b,c).
+    Public API, exported from ``jfilt``; nothing inside the package needs it."""
     return make_graph(
         n,
         {"s": TRIVALENT, "l0": UNIVALENT, "l1": UNIVALENT, "l2": UNIVALENT},

@@ -482,6 +482,15 @@ def test_hostile_exponent_in_compose_exits_2_without_building_it(tmp_path):
     assert elapsed < 1.0
 
 
+def test_gap_table_with_a_huge_gmax_ends_in_bounded_time():
+    # 13 bytes of arguments.  Summing each row's braid rank afresh made this
+    # quadratic in gmax; it ran past 30 s.
+    proc, elapsed = run_in_one_gib("lagrangian", "gap-table", "--gmax", "200000", "--kmax", "1")
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10.0
+
+
 def test_chained_compose_exits_2_before_building_the_product(tmp_path):
     # Each factor multiplies the image of x1 by about 100: three copies ask
     # for 2 * 10^6 letters and four for about 2 * 10^8.

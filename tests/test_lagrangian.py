@@ -245,3 +245,11 @@ def test_chain_queries_agree_with_the_bare_words():
     assert johnson_element(h, 2) == johnson_element(bare, 2)
     assert lagrangian_degree(h) == lagrangian_degree(bare) == 2
     assert jl_element(h, 2) == jl_element(bare, 2)
+
+
+def test_gap_table_running_sum_matches_pure_braid_rank():
+    # Runs of consecutive g at one k reuse the previous row's sum; gaps,
+    # repeats and interleaved k start afresh.
+    pairs = [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (7, 1), (8, 1), (8, 1), (5, 2), (1, 3)]
+    rows = gap_table(pairs)
+    assert [row["braid_rank"] for row in rows] == [pure_braid_rank(g, k) for g, k in pairs]

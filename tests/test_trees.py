@@ -214,6 +214,13 @@ def test_span_check_runs_the_kernel_check(monkeypatch):
         span_check(3, 2)
 
 
+def test_tree_to_dk_runs_its_own_kernel_check(monkeypatch):
+    # Criterion 10's 500-tree loop relies on this check alone.
+    monkeypatch.setattr("jfilt.trees.bracket_map", lambda t: generator_element(t.n, 0))
+    with pytest.raises(InvariantError, match="escaped the contraction kernel"):
+        tree_to_dk(tripod(3, 0, 1, 2))
+
+
 def test_internal_tree_enumeration():
     assert internal_trees(1) == [[]]
     assert internal_trees(2) == [[(0, 1)]]
