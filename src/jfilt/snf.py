@@ -44,7 +44,7 @@ x86-64 host).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 Row = Dict[int, int]
@@ -119,7 +119,9 @@ def _sub(dst: Row, src: Row, q: int) -> None:
             del dst[c]
 
 
-def eliminate(rows: List[Row], cols: int, want_u: bool = False, want_v: bool = False):
+def eliminate(
+    rows: List[Row], cols: int, want_u: bool = False, want_v: bool = False
+) -> Tuple[List[int], Optional[List[Row]], Optional[List[Row]]]:
     """The Smith elimination of the sparse ``rows`` (consumed) with ``cols``
     columns: the nonnegative diagonal, ``U`` as sparse rows when ``want_u``,
     and ``V`` transposed (sparse row ``j`` is column ``j`` of ``V``) when
@@ -212,7 +214,7 @@ def eliminate(rows: List[Row], cols: int, want_u: bool = False, want_v: bool = F
                             del prow[c]
                     if stops:
                         c = colat[stop]
-                        prow[c] -= (prow[c] // p) * p
+                        prow[c] %= p
                         colat[t], colat[stop] = c, ct
                         pos[c], pos[ct] = t, stop
                         ct = c
