@@ -38,7 +38,7 @@ from .lie import (
     tensor_bracket,
     witt_dimension,
 )
-from .snf import Matrix, eliminate
+from .snf import Matrix, Row, eliminate
 
 # Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
 # its kernel basis takes about a second, (10, 2) has 8.2 million.  The matrix
@@ -129,7 +129,7 @@ def bracket_map(t: TensorElement) -> LieElement:
     return LieElement.from_sparse(t.n, t.level + 2, lyndon_coords(out, t.n, t.level + 2))
 
 
-def _bracket_rows(n: int, k: int) -> Tuple[List[Dict[int, int]], int]:
+def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
     """The contraction matrix as sparse rows (column index to nonzero
     entry), and its column count.  Raises ``PreconditionError`` past
     ``MAX_MATRIX_CELLS`` cells, before anything is built."""
@@ -143,7 +143,7 @@ def _bracket_rows(n: int, k: int) -> Tuple[List[Dict[int, int]], int]:
             % (n, k, cells, MAX_MATRIX_CELLS)
         )
     src = hall_basis(n, k + 1).words
-    out: List[Dict[int, int]] = [{} for _ in range(rows)]
+    out: List[Row] = [{} for _ in range(rows)]
     for a in range(n):
         for j, u in enumerate(src):
             col = a * len(src) + j

@@ -16,26 +16,23 @@ the rank over Q (``integer_rank``, the count of nonzero invariant factors).
 
 There is one elimination, ``eliminate``, and it is sparse: each row is a dict
 from column to nonzero entry, so a step touches only the entries that are
-there; the contraction matrices of ``dk_basis`` are 93-99.5% zeros, the
-more the larger.  A
+there (the contraction matrices of ``dk_basis`` are 93-99.5% zeros).  A
 column swap only exchanges two places of a permutation.  ``U`` and ``V`` are
-sparse too and each is built only when asked for: the diagonal questions
-(invertibility, the rank) build neither, and ``dk_basis`` builds only ``V``,
-reading its kernel vectors straight off it.  The dense entry points
-(``smith_normal_form``, ``invariant_factors``, ``integer_rank``) convert their
-matrix and call the same routine.
+sparse too and each is built only when asked for: invertibility and the rank
+build neither, and ``dk_basis`` builds only ``V`` and reads its kernel
+vectors straight off it.  ``smith_normal_form``, ``invariant_factors`` and
+``integer_rank`` take dense matrices, convert them and call the same routine.
 
-The elimination takes the pivots in a fixed order, which is what makes ``U``
-and ``V``, and so the kernel basis ``dk_basis`` returns, the same on every
-run: the pivot is an entry of least absolute value in the trailing block,
-from the first row in row order that holds one, at the smallest column
-position in that row; the row step then runs down the rows in order, the
-column step along the column positions in order, and each stops at the first
+The pivots come in a fixed order, which keeps ``U``, ``V`` and so the kernel
+basis of ``dk_basis`` the same from run to run: an entry of least absolute
+value in the trailing block, from the first row that holds one, at the
+smallest column position in that row.  The row step runs down the rows and
+the column step along the positions, each stopping at the first nonzero
 remainder, which becomes the pivot; a pivot that is not a unit is checked
 against the block, and the first row holding an entry it does not divide is
 added to the pivot row.  Least pivots keep entries small, and the matrices
 built here are mostly 0 and +-1, so nearly every pivot is a unit, which
-divides everything: the divisibility scan is then skipped.  On
+divides everything, and the divisibility scan is skipped.  On
 ``bracket_matrix(6, 2)`` (315 x 420, 0.5% nonzero) ``smith_normal_form``
 takes about 0.01 s and ``integer_rank`` about 0.007 s (CPython 3.11, 2-vCPU
 x86-64 host).
@@ -251,7 +248,7 @@ def eliminate(
     return diagonal, u, vt
 
 
-def sparse_rows(matrix: Sequence[Sequence[int]]) -> Tuple[List[Row], int]:
+def _sparse_rows(matrix: Sequence[Sequence[int]]) -> Tuple[List[Row], int]:
     """The nonzero entries of each row of a dense matrix, and its width."""
     cols = len(matrix[0]) if matrix else 0
     out = []
@@ -268,7 +265,7 @@ def sparse_rows(matrix: Sequence[Sequence[int]]) -> Tuple[List[Row], int]:
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Compute ``U A V = D`` with unimodular ``U``, ``V`` and SNF diagonal ``D``."""
-    rows, cols = sparse_rows(matrix)
+    rows, cols = _sparse_rows(matrix)
     diagonal, u, vt = eliminate(rows, cols, want_u=True, want_v=True)
     dense_u = [[0] * len(u) for _ in u]
     for out, row in zip(dense_u, u):
@@ -284,7 +281,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
 def invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
     """The diagonal of the Smith form, found without building ``U`` or
     ``V``: memory linear in the nonzero entries."""
-    rows, cols = sparse_rows(matrix)
+    rows, cols = _sparse_rows(matrix)
     return eliminate(rows, cols)[0]
 
 

@@ -13,6 +13,7 @@ from jfilt.brackets import bracket_matrix, dk_basis
 from jfilt.snf import (
     identity_matrix,
     integer_rank,
+    invariant_factors,
     matmul,
     smith_normal_form,
     transpose,
@@ -240,6 +241,8 @@ def test_elimination_order_is_pinned_off_unit_pivots():
     for name, family in _rank_families().items():
         decs = [smith_normal_form(a) for a in family]
         assert _digest([[d.U, d.V, d.diagonal] for d in decs]) == REPLAY_DIGESTS[name], name
+        # Without the transforms the same elimination gives the same diagonal.
+        assert [invariant_factors(a) for a in family] == [d.diagonal for d in decs], name
 
 
 @settings(max_examples=60, deadline=None)
