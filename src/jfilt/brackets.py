@@ -28,14 +28,13 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import (
     LieElement,
-    Tensor,
-    basis_expansion,
+    Words,
+    _basis_index,
+    bracket_words,
     embed_lie,
     hall_basis,
     lie_map,
-    lie_to_tensor,
-    lyndon_coords,
-    tensor_bracket,
+    lyndon_bracket,
     witt_dimension,
 )
 from .snf import Matrix, Row, eliminate
@@ -71,7 +70,7 @@ class TensorElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def _check(self, other: "TensorElement"):
         if self.n != other.n or self.level != other.level:
@@ -120,13 +119,13 @@ def tensor_from_components(n: int, level: int, parts: Dict[int, LieElement]) -> 
 
 def bracket_map(t: TensorElement) -> LieElement:
     """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
-    out: Tensor = {}
+    words = hall_basis(t.n, t.level + 1).words
+    w = len(words)
+    out: Words = {}
     for a in range(t.n):
-        part = t.component(a)
-        if not part.is_zero:
-            tensor_bracket({(a,): 1}, lie_to_tensor(part), out)
-    # Built from validated Lie parts, so homogeneous over the n letters.
-    return LieElement.from_sparse(t.n, t.level + 2, lyndon_coords(out, t.n, t.level + 2))
+        part = {u: c for u, c in zip(words, t.coords[a * w : (a + 1) * w]) if c}
+        bracket_words({(a,): 1}, part, out)
+    return LieElement.from_words(t.n, t.level + 2, out)
 
 
 def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
@@ -143,14 +142,13 @@ def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
             % (n, k, cells, MAX_MATRIX_CELLS)
         )
     src = hall_basis(n, k + 1).words
+    index = _basis_index(n, k + 2)
     out: List[Row] = [{} for _ in range(rows)]
     for a in range(n):
         for j, u in enumerate(src):
             col = a * len(src) + j
-            # Built from a basis expansion, so homogeneous over the n letters.
-            image = lyndon_coords(tensor_bracket({(a,): 1}, basis_expansion(u)), n, k + 2)
-            for r, c in image.items():
-                out[r][col] = c
+            for w, c in lyndon_bracket((a,), u):
+                out[index[w]][col] = c
     return out, n * len(src)
 
 

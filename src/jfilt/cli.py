@@ -46,7 +46,7 @@ from .orientation import (
     orientation_to_json,
     oriented_dot,
 )
-from .trees import clasper_from_json, span_check, tree_to_dk
+from .trees import clasper_from_json, span_check, tree_to_dk, validate
 
 
 def _max_degree() -> int:
@@ -214,6 +214,7 @@ def _cmd_tree(args) -> None:
         if len(args.args) != 1:
             raise ValidationError("tree image takes exactly one graph file")
         g = clasper_from_json(_load_json(args.args[0]))
+        _check_degree(validate(g).degree, "tree degree")
         _emit(tensor_to_json(tree_to_dk(g)), args)
     else:
         if len(args.args) != 2:

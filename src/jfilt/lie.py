@@ -3,10 +3,14 @@
 Degree-k basis elements are Lyndon words of length k over the ordered
 generators 0 < 1 < ... < n-1; a word brackets recursively through its
 standard factorization (the lexicographically least proper suffix is the
-right factor).  Expanding a basis element into the tensor algebra yields the
-word itself plus lexicographically larger monomials, so conversion from a
-tensor to basis coordinates is a triangular elimination and doubles as an
-exact membership test for the Lie subspace.
+right factor).  Brackets are computed on Lyndon words directly, from
+memoized structure constants ``lyndon_bracket`` rewritten through the
+standard factorization with the Jacobi identity; no tensor is built.
+
+The tensor algebra serves only to read back Magnus series.  Expanding a
+basis element into it yields the word itself plus lexicographically larger
+monomials, so conversion from a tensor to basis coordinates is a triangular
+elimination and doubles as an exact membership test for the Lie subspace.
 """
 
 from __future__ import annotations
@@ -78,6 +82,56 @@ def standard_factorization(w: Monomial) -> Tuple[Monomial, Monomial]:
         raise ValidationError("only words of length >= 2 factor")
     v = min(w[i:] for i in range(1, len(w)))
     return w[: len(w) - len(v)], v
+
+
+Terms = Tuple[Tuple[Monomial, int], ...]
+Words = Dict[Monomial, int]
+
+
+@lru_cache(maxsize=None)
+def lyndon_bracket(u: Monomial, v: Monomial) -> Terms:
+    """Structure constants of ``[P_u, P_v]`` for Lyndon words u and v, as
+    sorted (Lyndon word, nonzero coefficient) pairs.
+
+    For u < v the word uv is Lyndon, and (u, v) is its standard
+    factorization exactly when u is a letter or u = (u', u'') with u'' >= v;
+    then the bracket is P_uv.  Otherwise Jacobi rewrites it as
+    [u', [u'', v]] - [u'', [u', v]], whose inner brackets are smaller
+    (Reutenauer, *Free Lie Algebras*, 1993, ch. 4-5).  The inputs are not
+    checked: they must be Lyndon words.
+    """
+    if u == v:
+        return ()
+    if u > v:
+        return tuple((w, -c) for w, c in lyndon_bracket(v, u))
+    if len(u) == 1:
+        return ((u + v, 1),)
+    left, right = standard_factorization(u)
+    if right >= v:
+        return ((u + v, 1),)
+    out: Words = {}
+    for outer, inner, sign in ((left, right, 1), (right, left, -1)):
+        for w, c in lyndon_bracket(inner, v):
+            for x, d in lyndon_bracket(outer, w):
+                out[x] = out.get(x, 0) + sign * c * d
+    return tuple(sorted((w, c) for w, c in out.items() if c))
+
+
+def bracket_words(x: Words, y: Words, out: Optional[Words] = None) -> Words:
+    """``[x, y]`` for dicts from Lyndon word to coefficient, added into
+    ``out`` in place when it is given."""
+    if out is None:
+        out = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            c = cu * cv
+            for w, cw in lyndon_bracket(u, v):
+                val = out.get(w, 0) + c * cw
+                if val:
+                    out[w] = val
+                elif w in out:
+                    del out[w]
+    return out
 
 
 def tensor_bracket(left: Tensor, right: Tensor, out: Optional[Tensor] = None) -> Tensor:
@@ -155,7 +209,7 @@ class LieElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def _check(self, other: "LieElement"):
         if self.n != other.n or self.degree != other.degree:
@@ -182,6 +236,18 @@ class LieElement:
             dense[i] = c
         return cls(n, degree, tuple(dense))
 
+    @classmethod
+    def from_words(cls, n: int, degree: int, words: Words) -> "LieElement":
+        """The element with the given coefficients on degree-``degree``
+        Lyndon words over the n letters."""
+        index = _basis_index(n, degree)
+        return cls.from_sparse(n, degree, {index[w]: c for w, c in words.items()})
+
+    def words(self) -> Words:
+        """Lyndon word -> nonzero coefficient."""
+        basis = hall_basis(self.n, self.degree).words
+        return {w: c for w, c in zip(basis, self.coords) if c}
+
 
 def generator_element(n: int, index: int) -> LieElement:
     if not 0 <= index < n:
@@ -189,21 +255,6 @@ def generator_element(n: int, index: int) -> LieElement:
     coords = [0] * n
     coords[index] = 1
     return LieElement(n, 1, tuple(coords))
-
-
-def lie_to_tensor(elem: LieElement) -> Tensor:
-    out: Tensor = {}
-    basis = hall_basis(elem.n, elem.degree)
-    for coeff, w in zip(elem.coords, basis.words):
-        if coeff == 0:
-            continue
-        for m, c in basis_expansion(w).items():
-            val = out.get(m, 0) + coeff * c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-    return out
 
 
 def lyndon_coords(tensor: Tensor, n: int, degree: int) -> Dict[int, int]:
@@ -254,8 +305,7 @@ def tensor_to_lyndon(tensor: Tensor, n: int, degree: int) -> LieElement:
 def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
     if u.n != v.n:
         raise ValidationError("mixed ranks")
-    tensor = tensor_bracket(lie_to_tensor(u), lie_to_tensor(v))
-    return tensor_to_lyndon(tensor, u.n, u.degree + v.degree)
+    return LieElement.from_words(u.n, u.degree + v.degree, bracket_words(u.words(), v.words()))
 
 
 def graded_class(w: GroupWord, k: int) -> LieElement:
@@ -276,31 +326,28 @@ def graded_class(w: GroupWord, k: int) -> LieElement:
 def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:
     """Functorial action of a linear substitution on a Lie element.  Column j
     of `matrix` (n_target rows, elem.n columns) gives the image of source
-    generator j as a vector of target generators."""
-    tensor = lie_to_tensor(elem)
-    out: Tensor = {}
-    for m, c in tensor.items():
-        stage: Tensor = {(): c}
-        for letter in m:
-            nxt: Tensor = {}
-            for prefix, pc in stage.items():
-                for i in range(n_target):
-                    entry = matrix[i][letter]
-                    if entry:
-                        key = prefix + (i,)
-                        val = nxt.get(key, 0) + pc * entry
-                        if val:
-                            nxt[key] = val
-                        elif key in nxt:
-                            del nxt[key]
-            stage = nxt
-        for pm, pc in stage.items():
-            val = out.get(pm, 0) + pc
+    generator j as a vector of target generators.  The image of P_w is the
+    bracket of the images of its standard factors, each computed once."""
+    images: Dict[Monomial, Words] = {}
+
+    def image(w: Monomial) -> Words:
+        if w not in images:
+            if len(w) == 1:
+                images[w] = {(i,): matrix[i][w[0]] for i in range(n_target) if matrix[i][w[0]]}
+            else:
+                u, v = standard_factorization(w)
+                images[w] = bracket_words(image(u), image(v))
+        return images[w]
+
+    out: Words = {}
+    for w, c in elem.words().items():
+        for x, d in image(w).items():
+            val = out.get(x, 0) + c * d
             if val:
-                out[pm] = val
-            elif pm in out:
-                del out[pm]
-    return tensor_to_lyndon(out, n_target, elem.degree)
+                out[x] = val
+            elif x in out:
+                del out[x]
+    return LieElement.from_words(n_target, elem.degree, out)
 
 
 def embed_lie(elem: LieElement, n_target: int, shift: int) -> LieElement:

@@ -35,14 +35,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .brackets import TensorElement, bracket_map, dk_rank
 from .errors import InvariantError, PreconditionError, ValidationError
-from .lie import (
-    LieElement,
-    Tensor,
-    lyndon_coords,
-    tensor_bracket,
-    tensor_to_lyndon,
-    witt_dimension,
-)
+from .lie import LieElement, Words, _basis_index, bracket_words, witt_dimension
 from .snf import integer_rank
 
 Half = Tuple[str, int]
@@ -50,6 +43,15 @@ Half = Tuple[str, int]
 UNIVALENT = 1
 TRIVALENT = 3
 _ARITY_NAMES = {"univalent": UNIVALENT, "trivalent": TRIVALENT}
+
+# Bound on n^(k+2), the number of basis labelings of the k + 2 leaves of a
+# degree-k tree with labels of rank n, for ``tree_to_dk`` and
+# ``rooted_bracket``.  Most of the time at the bound goes into the Lyndon
+# bases of degrees k + 1 and k + 2: a random-labeled tree takes 0.2-0.3 s
+# at (n, k) = (4, 5) and (5, 4), 1.1 s at (3, 7) and 2.1 s at (2, 12) on a
+# 2-vCPU Xeon; (2, 13), at twice the bound, takes 5.4 s.  Rank 1 counts as
+# 2, so the bound also caps the depth of the evaluation.
+MAX_TREE_TERMS = 2**14
 
 
 def parse_half(text: str) -> Half:
@@ -245,19 +247,20 @@ def _edge_partner(g: ClasperGraph) -> Dict[Half, Half]:
     return out
 
 
-def _tree_evaluator(g: ClasperGraph) -> Callable[[str], Tensor]:
-    """Rooted-bracket evaluation of a validated tree, on tensors.
+def _tree_evaluator(g: ClasperGraph) -> Callable[[str], Words]:
+    """Rooted-bracket evaluation of a validated tree, as a dict from Lyndon
+    word to coefficient.
 
     Entering a trivalent vertex through one half-edge, the remaining two in
-    cyclic order give (first, second) and the value is their commutator; a
-    leaf evaluates to its label vector as a degree-one tensor.
+    cyclic order give (first, second) and the value is their Lie bracket; a
+    leaf evaluates to its label vector on the degree-one words.
     """
     arity = g.arity_map()
     partner = _edge_partner(g)
     cyc = g.cyclic_map()
     labels = g.label_map()
 
-    def eval_from(h: Half) -> Tensor:
+    def eval_from(h: Half) -> Words:
         # value of the subtree on the far side of half-edge h
         far = partner[h]
         vid = far[0]
@@ -265,7 +268,7 @@ def _tree_evaluator(g: ClasperGraph) -> Callable[[str], Tensor]:
             return {(a,): c for a, c in enumerate(labels[vid]) if c}
         order = cyc[vid]
         pos = order.index(far)
-        return tensor_bracket(eval_from(order[(pos + 1) % 3]), eval_from(order[(pos + 2) % 3]))
+        return bracket_words(eval_from(order[(pos + 1) % 3]), eval_from(order[(pos + 2) % 3]))
 
     return lambda root: eval_from((root, 0))
 
@@ -276,6 +279,11 @@ def _validate_tree(g: ClasperGraph, caller: str) -> GraphInfo:
         raise ValidationError("%s needs a tree" % caller)
     if g.n < 1:
         raise ValidationError("tree has no label rank")
+    if max(g.n, 2) ** (info.degree + 2) > MAX_TREE_TERMS:
+        raise PreconditionError(
+            "%s of a degree-%d tree with labels of rank %d exceeds n^(k+2) <= %d"
+            % (caller, info.degree, g.n, MAX_TREE_TERMS)
+        )
     return info
 
 
@@ -285,7 +293,7 @@ def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
     info = _validate_tree(g, "rooted_bracket")
     if g.arity_map().get(root) != UNIVALENT:
         raise ValidationError("root %r is not a univalent vertex" % root)
-    return tensor_to_lyndon(_tree_evaluator(g)(root), g.n, info.degree + 1)
+    return LieElement.from_words(g.n, info.degree + 1, _tree_evaluator(g)(root))
 
 
 def tree_to_dk(g: ClasperGraph) -> TensorElement:
@@ -294,16 +302,16 @@ def tree_to_dk(g: ClasperGraph) -> TensorElement:
     k = _validate_tree(g, "tree_to_dk").degree
     evaluate = _tree_evaluator(g)
     w = witt_dimension(g.n, k + 1)
+    index = _basis_index(g.n, k + 1)
     coords = [0] * (g.n * w)
     for vid, vec in g.label_map().items():
         if all(c == 0 for c in vec):
             continue
-        # Evaluated from a validated tree, so homogeneous over the n letters.
-        elem = lyndon_coords(evaluate(vid), g.n, k + 1)
+        elem = [(index[u], c) for u, c in evaluate(vid).items()]
         for a in range(g.n):
             if vec[a] == 0:
                 continue
-            for i, c in elem.items():
+            for i, c in elem:
                 coords[a * w + i] += vec[a] * c
     out = TensorElement(g.n, k, tuple(coords))
     if not bracket_map(out).is_zero:

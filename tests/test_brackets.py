@@ -28,12 +28,13 @@ from jfilt.lie import (
     generator_element,
     hall_basis,
     lie_bracket,
-    lie_to_tensor,
     tensor_bracket,
     tensor_to_lyndon,
     witt_dimension,
 )
 from jfilt.snf import integer_rank
+
+from tensor_reference import lie_to_tensor
 
 
 def test_frozen_rank_values():

@@ -4,6 +4,7 @@ documents through the library parsers."""
 
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -43,7 +44,7 @@ from jfilt.brackets import dk_basis, dk_rank, tensor_from_json, tensor_to_json
 from jfilt.cli import _build_parser, run
 from jfilt.lagrangian import jl_element
 from jfilt.lie import LieElement, witt_dimension
-from jfilt.trees import clasper_to_json, make_graph, tree_to_dk
+from jfilt.trees import clasper_to_json, make_graph, random_labeled_tree, tree_to_dk
 
 
 def invoke(capsys, *argv):
@@ -489,6 +490,21 @@ def test_gap_table_with_a_huge_gmax_ends_in_bounded_time():
     assert proc.returncode in (0, 3), proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0
+
+
+def test_oversized_tree_image_exits_3_before_evaluating(tmp_path, monkeypatch):
+    # 2,448 bytes: a random-labeled tree of degree 14 with labels of rank 3,
+    # whose evaluation ran past 20 s.  The degree cap refuses it, and with
+    # the cap raised, n^(k+2) = 3^16 is over trees.MAX_TREE_TERMS.
+    path = write_json(tmp_path, "big.json", clasper_to_json(random_labeled_tree(random.Random(1), 3, 14)))
+    for cap, message in ((None, "JFILT_MAX_DEGREE"), ("20", "n^(k+2)")):
+        if cap is not None:
+            monkeypatch.setenv("JFILT_MAX_DEGREE", cap)
+        proc, elapsed = run_in_one_gib("tree", "image", path)
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 10.0
 
 
 def test_chained_compose_exits_2_before_building_the_product(tmp_path):

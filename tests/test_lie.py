@@ -18,9 +18,10 @@ from jfilt.lie import (
     group_bracketing,
     hall_basis,
     lie_bracket,
+    bracket_words,
     lie_map,
-    lie_to_tensor,
     lift_lie_element,
+    lyndon_bracket,
     lyndon_coords,
     lyndon_words,
     standard_factorization,
@@ -29,6 +30,9 @@ from jfilt.lie import (
     witt_dimension,
 )
 from jfilt.words import Alphabet, GroupWord, commutator, generator
+
+import tensor_reference
+from tensor_reference import lie_to_tensor
 
 Y2 = Alphabet(2, "y")
 Y3 = Alphabet(3, "y")
@@ -300,3 +304,65 @@ def test_lie_map_identity_and_swap():
     assert lie_map(ident, elem, 2) == elem
     swap = ((0, 1), (1, 0))
     assert lie_map(swap, elem, 2) == -elem
+
+
+def _lyndon_pairs(n, max_degree):
+    words = [w for d in range(1, max_degree) for w in lyndon_words(n, d)]
+    return [(u, v) for u in words for v in words if len(u) + len(v) <= max_degree]
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_lyndon_bracket_matches_the_tensor_reference(n, max_degree):
+    pairs = _lyndon_pairs(n, max_degree)
+    for u, v in pairs:
+        got = lyndon_bracket(u, v)
+        assert list(got) == sorted(got)
+        assert all(c for _, c in got)
+        assert dict(got) == tensor_reference.lyndon_of(u, v), (u, v)
+    if n > 1:
+        # The u'' >= v shortcut and the Jacobi rewrite are both reached.
+        rights = [standard_factorization(u)[1] >= v for u, v in pairs if 1 < len(u) and u < v]
+        assert any(rights) and not all(rights)
+
+
+def test_lyndon_bracket_is_antisymmetric():
+    for u, v in _lyndon_pairs(3, 6):
+        assert lyndon_bracket(v, u) == tuple((w, -c) for w, c in lyndon_bracket(u, v))
+        if u == v:
+            assert lyndon_bracket(u, v) == ()
+
+
+def _seeded_lie(rng, n, degree):
+    return LieElement(n, degree, tuple(rng.randint(-2, 2) for _ in range(witt_dimension(n, degree))))
+
+
+def test_bracket_words_satisfies_jacobi_on_seeded_elements():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        da, db, dc = (rng.randint(1, 2) for _ in range(3))
+        a, b, c = (_seeded_lie(rng, n, d).words() for d in (da, db, dc))
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            bracket_words(x, bracket_words(y, z), total)
+        assert total == {}
+        assert bracket_words(a, b) == {w: -c for w, c in bracket_words(b, a).items()}
+
+
+def test_lie_bracket_matches_the_tensor_reference():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        u = _seeded_lie(rng, n, rng.randint(1, 3))
+        v = _seeded_lie(rng, n, rng.randint(1, 3))
+        assert lie_bracket(u, v) == tensor_reference.lie_bracket(u, v)
+
+
+def test_lie_map_matches_the_tensor_reference():
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        n_target = rng.randint(1, 4)
+        elem = _seeded_lie(rng, n, rng.randint(1, 4 if n < 3 else 3))
+        matrix = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n_target)]
+        assert lie_map(matrix, elem, n_target) == tensor_reference.lie_map(matrix, elem, n_target)

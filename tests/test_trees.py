@@ -11,6 +11,7 @@ from jfilt.errors import InvariantError, PreconditionError, ValidationError
 from jfilt.lie import LieElement, generator_element, hall_basis, lie_bracket
 from jfilt.snf import smith_normal_form
 from jfilt.trees import (
+    MAX_TREE_TERMS,
     ClasperGraph,
     assemble_unitrivalent,
     clasper_from_json,
@@ -27,6 +28,8 @@ from jfilt.trees import (
     _prufer_decode,
     validate,
 )
+
+import tensor_reference
 
 
 def internal_trees(k):
@@ -293,6 +296,29 @@ def test_random_trees_land_in_kernel():
         g = random_labeled_tree(rng, n, k)
         t = tree_to_dk(g)  # kernel membership asserted inside
         assert t.level == k
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)])
+def test_tree_images_match_the_tensor_evaluator(n, k):
+    # The (n, k) shapes of the benchmark's trees workload.
+    rng = random.Random(100 * n + k)
+    for _ in range(4):
+        g = random_labeled_tree(rng, n, k)
+        assert tree_to_dk(g) == tensor_reference.tree_to_dk(g)
+        for vid, arity in g.vertices:
+            if arity == 1:
+                assert rooted_bracket(g, vid) == tensor_reference.rooted_bracket(g, vid)
+
+
+def test_tree_evaluation_refuses_past_the_term_bound():
+    rng = random.Random(3)
+    deep = assemble_unitrivalent(1, 100, [(i, i + 1) for i in range(99)], [0] * 102)
+    for g in [random_labeled_tree(rng, n, k) for n, k in ((3, 7), (2, 13), (3, 14))] + [deep]:
+        for call in (lambda: tree_to_dk(g), lambda: rooted_bracket(g, "l0")):
+            with pytest.raises(PreconditionError, match="exceeds n\\^\\(k\\+2\\)"):
+                call()
+    assert 4 ** (5 + 2) == MAX_TREE_TERMS
+    assert tree_to_dk(random_labeled_tree(rng, 4, 5)).level == 5
 
 
 def test_json_round_trip():
