@@ -84,12 +84,11 @@ def standard_factorization(w: Monomial) -> Tuple[Monomial, Monomial]:
     return w[: len(w) - len(v)], v
 
 
-Terms = Tuple[Tuple[Monomial, int], ...]
 Words = Dict[Monomial, int]
 
 
 @lru_cache(maxsize=None)
-def lyndon_bracket(u: Monomial, v: Monomial) -> Terms:
+def lyndon_bracket(u: Monomial, v: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
     """Structure constants of ``[P_u, P_v]`` for Lyndon words u and v, as
     sorted (Lyndon word, nonzero coefficient) pairs.
 
@@ -342,11 +341,7 @@ def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:
     out: Words = {}
     for w, c in elem.words().items():
         for x, d in image(w).items():
-            val = out.get(x, 0) + c * d
-            if val:
-                out[x] = val
-            elif x in out:
-                del out[x]
+            out[x] = out.get(x, 0) + c * d
     return LieElement.from_words(n_target, elem.degree, out)
 
 

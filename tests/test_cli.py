@@ -493,13 +493,12 @@ def test_gap_table_with_a_huge_gmax_ends_in_bounded_time():
 
 
 def test_oversized_tree_image_exits_3_before_evaluating(tmp_path, monkeypatch):
-    # 2,448 bytes: a random-labeled tree of degree 14 with labels of rank 3,
-    # whose evaluation ran past 20 s.  The degree cap refuses it, and with
-    # the cap raised, n^(k+2) = 3^16 is over trees.MAX_TREE_TERMS.
+    # A random-labeled tree of degree 14 with labels of rank 3 (2,448 bytes as
+    # compact JSON), whose evaluation ran past 20 s.  The default degree cap
+    # refuses it, and with the cap raised, n^(k+2) = 3^16 is over the bound.
     path = write_json(tmp_path, "big.json", clasper_to_json(random_labeled_tree(random.Random(1), 3, 14)))
-    for cap, message in ((None, "JFILT_MAX_DEGREE"), ("20", "n^(k+2)")):
-        if cap is not None:
-            monkeypatch.setenv("JFILT_MAX_DEGREE", cap)
+    for cap, message in (("8", "JFILT_MAX_DEGREE"), ("20", "n^(k+2)")):
+        monkeypatch.setenv("JFILT_MAX_DEGREE", cap)
         proc, elapsed = run_in_one_gib("tree", "image", path)
         assert proc.returncode == 3, proc.stderr
         assert message in proc.stderr
