@@ -223,7 +223,10 @@ def criterion_8_mirror_triviality(seed: int = 0) -> Tuple[bool, str]:
 
 def criterion_9_orientation(seed: int = 0) -> Tuple[bool, str]:
     """Exhaustive connected unitrivalent multigraphs with <= 4 trivalent
-    vertices: orientable iff cyclic iff the brute-force count is positive."""
+    vertices: orientable iff cyclic iff the count of valid orientations is
+    positive.  The count sums (−1)^|S| 2^(free edges) over sets S of
+    trivalent vertices forced to be sources, and shares no step with
+    ``orient``, so the three tests are independent."""
     rows, mismatches = census(4)
     if mismatches:
         return False, "mismatch on a graph with %d trivalent vertices" % mismatches[0]

@@ -306,12 +306,14 @@ def test_gap_table_exits_1_when_a_closed_form_disagrees(capsys, monkeypatch):
 
 
 def test_graph_census(capsys, tmp_path, monkeypatch):
-    code, out, _ = invoke(capsys, "graph", "census", "--tmax", "3")
+    code, out, _ = invoke(capsys, "graph", "census", "--tmax", "5")
     assert code == 0
     assert json.loads(out) == [
         {"trivalent": 1, "orientable": 1, "not_orientable": 1},
         {"trivalent": 2, "orientable": 5, "not_orientable": 1},
         {"trivalent": 3, "orientable": 25, "not_orientable": 3},
+        {"trivalent": 4, "orientable": 248, "not_orientable": 16},
+        {"trivalent": 5, "orientable": 3232, "not_orientable": 120},
     ]
     code, out, _ = invoke(capsys, "graph", "census", "--tmax", "2", "--csv")
     assert code == 0
@@ -326,12 +328,12 @@ def test_graph_census(capsys, tmp_path, monkeypatch):
 
 
 def test_graph_census_past_the_brute_force_bound_exits_3_at_once(capsys):
-    # Trees with 8 trivalent vertices have 17 edges, one past the bound.
+    # Size 7 stays within the count's 16 edges but has 1.25 million graphs.
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "graph", "census", "--tmax", "8")
+    code, out, err = invoke(capsys, "graph", "census", "--tmax", "7")
     assert code == 3
     assert out == ""
-    assert "up to 17 edges" in err
+    assert "census bound of 6" in err
     assert time.perf_counter() - start < 1.0
 
 

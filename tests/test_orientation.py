@@ -2,6 +2,7 @@
 
 import pytest
 
+import jfilt.orientation
 from jfilt.errors import NotOrientable, PreconditionError, ValidationError
 from jfilt.orientation import (
     count_valid_orientations,
@@ -12,6 +13,7 @@ from jfilt.orientation import (
     verify_orientation,
 )
 from jfilt.trees import TRIVALENT, UNIVALENT, h_tree, make_graph, tripod, validate
+from orientation_reference import brute_force_count
 
 
 def theta():
@@ -24,6 +26,10 @@ def loop_leaf():
     return make_graph(
         1, {"v": 3, "l": 1}, [("v.0", "v.1"), ("v.2", "l.0")], {"l": (1,)}
     )
+
+
+def strut():
+    return make_graph(1, {"l": 1, "m": 1}, [("l.0", "m.0")], {"l": (1,), "m": (1,)})
 
 
 def trivalent_cycle(size):
@@ -172,6 +178,26 @@ def test_orientable_iff_cycle_iff_positive_count():
         except NotOrientable:
             succeeded = False
         assert succeeded == (info.betti1 >= 1) == (count > 0)
+
+
+def test_count_matches_the_brute_force_reference():
+    graphs = list(enumerate_unitrivalent(4))
+    assert len(graphs) == 300
+    for g in graphs + [theta(), loop_leaf(), trivalent_cycle(3)]:
+        assert count_valid_orientations(g) == brute_force_count(g), g
+    # A strut cannot point into both leaves; the count refuses it as a
+    # component without a trivalent vertex.
+    assert brute_force_count(strut()) == 0
+    with pytest.raises(ValidationError, match="trivalent vertex"):
+        count_valid_orientations(strut())
+
+
+def test_count_does_not_verify_orientations(monkeypatch):
+    def refuse(g, orientation):
+        raise AssertionError("count_valid_orientations called verify_orientation")
+
+    monkeypatch.setattr(jfilt.orientation, "verify_orientation", refuse)
+    assert count_valid_orientations(theta()) == 6
 
 
 # ---------------------------------------------------------------------------
