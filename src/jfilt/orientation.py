@@ -159,8 +159,7 @@ def count_valid_orientations(g: ClasperGraph) -> int:
     """The number of valid orientations, Σ_S (−1)^|S| N(S) over the sets S
     of trivalent vertices forced to be sources (see the module docstring).
 
-    Takes O(2^t E) steps for t trivalent vertices and E edges; the edge bound
-    keeps t at most 10.
+    Takes O(2^t E) steps for t trivalent vertices and E edges.
     """
     info = validate(g)
     if not info.connected:
