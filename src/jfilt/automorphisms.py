@@ -24,9 +24,10 @@ law in the Lagrangian module) are calibrated against this constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import TensorElement, bracket_map, tensor_from_components
+from .brackets import TensorElement, bracket_map, dk_basis, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import LieElement, tensor_to_lyndon
 from .snf import Matrix, invariant_factors, matmul, smith_normal_form, transpose
@@ -492,6 +493,12 @@ def full_twist_tuple(g: int, q: int, power: int, kind: str = Y_ONLY) -> Longitud
     return LongitudeTuple(g, q, kind, tuple(base for _ in range(g)))
 
 
+@lru_cache(maxsize=None)
+def _kernel_basis(g: int, k: int) -> Tuple[TensorElement, ...]:
+    # One elimination per (g, k) serves every lift; ``dk_basis`` stays uncached.
+    return tuple(dk_basis(g, k))
+
+
 def kernel_lift_tuple(
     g: int,
     k: int,
@@ -507,10 +514,9 @@ def kernel_lift_tuple(
     image of ``sum_i z_i (x) [entry_i]`` under the bracket contraction, which
     vanishes by construction.
     """
-    from .brackets import dk_basis
     from .lie import lift_lie_element
 
-    basis = dk_basis(g, k)
+    basis = _kernel_basis(g, k)
     if len(coefficients) != len(basis):
         raise ValidationError("need one coefficient per kernel basis element")
     elem = TensorElement.zero(g, k)

@@ -97,10 +97,10 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
     g = h.genus
     classes = {}
     for i in range(g):
-        # One expansion at the working level serves both the degree check
-        # (what lagrangian_degree reads) and the degree-(k+1) class (what
-        # graded_class reads), since truncation keeps lower degrees as they are.
-        series = magnus_expand(project_y(h.images[i]), h.level)
+        # One expansion below degree k+2, the cutoff graded_class uses, serves
+        # both the degree check and the degree-(k+1) class; truncation keeps
+        # lower degrees as they are, so the working level would read the same.
+        series = magnus_expand(project_y(h.images[i]), k + 2)
         low = series.lowest_positive_degree()
         if low is not None and low <= k:
             raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)

@@ -7,10 +7,13 @@ right factor).  Brackets are computed on Lyndon words directly, from
 memoized structure constants ``lyndon_bracket`` rewritten through the
 standard factorization with the Jacobi identity; no tensor is built.
 
-The tensor algebra serves only to read back Magnus series.  Expanding a
-basis element into it yields the word itself plus lexicographically larger
-monomials, so conversion from a tensor to basis coordinates is a triangular
-elimination and doubles as an exact membership test for the Lie subspace.
+A Hall basis is the Lyndon words of one degree plus a check of their Witt
+count.  The tensor algebra serves only to read back Magnus series, and only
+the expansions a read-back meets are built.  Expanding a basis element
+yields the word itself plus lexicographically larger monomials, checked as
+each expansion is built, so conversion from a tensor to basis coordinates
+is a triangular elimination and doubles as an exact membership test for
+the Lie subspace.
 """
 
 from __future__ import annotations
@@ -152,11 +155,15 @@ def tensor_bracket(left: Tensor, right: Tensor, out: Optional[Tensor] = None) ->
 
 @lru_cache(maxsize=None)
 def _expand(w: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
-    # Tensor algebra expansion of the standard bracketing of a Lyndon word.
+    # Tensor algebra expansion of the standard bracketing of a Lyndon word,
+    # sorted.  Unitriangular: the word itself first, with coefficient 1.
     if len(w) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
-    return tuple(sorted(tensor_bracket(basis_expansion(u), basis_expansion(v)).items()))
+    out = tuple(sorted(tensor_bracket(basis_expansion(u), basis_expansion(v)).items()))
+    if not out or out[0] != (w, 1):
+        raise InvariantError("expansion of Lyndon word %r is not unitriangular" % (w,))
+    return out
 
 
 def basis_expansion(w: Monomial) -> Tensor:
@@ -178,12 +185,6 @@ def hall_basis(n: int, degree: int) -> HallBasis:
     words = lyndon_words(n, degree)
     if len(words) != witt_dimension(n, degree):
         raise InvariantError("Lyndon word count differs from the Witt dimension")
-    for w in words:
-        expansion = basis_expansion(w)
-        # Triangularity: the word itself has coefficient 1 and every other
-        # monomial in the expansion is lexicographically larger.
-        if expansion.get(w) != 1 or not all(m == w or m > w for m in expansion):
-            raise InvariantError("expansion of Lyndon word %r is not unitriangular" % (w,))
     return HallBasis(n, degree, words)
 
 

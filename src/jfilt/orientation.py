@@ -40,6 +40,7 @@ from .trees import (
     Half,
     assemble_unitrivalent,
     render_half,
+    _union_find,
     validate,
 )
 
@@ -214,23 +215,6 @@ def oriented_dot(g: ClasperGraph, orientation: Orientation) -> str:
     return "\n".join(lines)
 
 
-def _connected_internal(t: int, mults: Dict[Tuple[int, int], int]) -> bool:
-    parent = list(range(t))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (a, b), m in mults.items():
-        if m and a != b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in range(t)}) == 1
-
-
 def enumerate_unitrivalent(max_trivalent: int) -> Iterator[ClasperGraph]:
     """Every connected unitrivalent multigraph with 1..max_trivalent labeled
     trivalent vertices: all loop/multi-edge patterns with internal degree at
@@ -263,7 +247,8 @@ def enumerate_unitrivalent(max_trivalent: int) -> Iterator[ClasperGraph]:
             del out[(a, b)]
 
         for mults in rec(0, {}):
-            if _connected_internal(t, mults):
+            find = _union_find(range(t), (pair for pair, m in mults.items() if m))
+            if len({find(v) for v in range(t)}) == 1:
                 edges = [pair for pair in sorted(mults) for _ in range(mults[pair])]
                 yield assemble_unitrivalent(1, t, edges, [0] * (3 * t - 2 * len(edges)))
 
@@ -276,6 +261,12 @@ def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
     ``not_orientable``) and the trivalent sizes of the graphs on which
     ``orient`` succeeding, a cycle and a positive count do not all agree;
     that list is empty when the criterion holds.
+
+    The census computes only the size and the cycle test itself: each
+    graph is enumerated connected, so it has a cycle exactly when E >= V, a
+    test that shares no step with ``orient`` (which verifies its answer
+    before it returns) or with the count.  Those two validate the graph as
+    public entry points, so the census neither validates nor verifies again.
     """
     if max_trivalent > MAX_CENSUS_TRIVALENT:
         raise PreconditionError(
@@ -285,15 +276,15 @@ def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
     rows: Dict[int, Dict[str, int]] = {}
     mismatches: List[int] = []
     for g in enumerate_unitrivalent(max_trivalent):
-        info = validate(g)
+        size = sum(1 for _, a in g.vertices if a == TRIVALENT)
         try:
-            succeeded = verify_orientation(g, orient(g)) == []
+            orient(g)
+            succeeded = True
         except NotOrientable:
             succeeded = False
-        if not succeeded == (info.betti1 >= 1) == (count_valid_orientations(g) > 0):
-            mismatches.append(info.degree)
-        row = rows.setdefault(
-            info.degree, {"trivalent": info.degree, "orientable": 0, "not_orientable": 0}
-        )
+        cyclic = len(g.edges) >= len(g.vertices)
+        if not succeeded == cyclic == (count_valid_orientations(g) > 0):
+            mismatches.append(size)
+        row = rows.setdefault(size, {"trivalent": size, "orientable": 0, "not_orientable": 0})
         row["orientable" if succeeded else "not_orientable"] += 1
     return [rows[t] for t in sorted(rows)], mismatches

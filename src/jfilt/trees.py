@@ -46,11 +46,11 @@ _ARITY_NAMES = {"univalent": UNIVALENT, "trivalent": TRIVALENT}
 
 # Bound on n^(k+2), the number of basis labelings of the k + 2 leaves of a
 # degree-k tree with labels of rank n, for ``tree_to_dk`` and
-# ``rooted_bracket``.  Most of the time at the bound goes into the Lyndon
-# bases of degrees k + 1 and k + 2: a random-labeled tree takes 0.2-0.3 s
-# at (n, k) = (4, 5) and (5, 4), 1.1 s at (3, 7) and 2.1 s at (2, 12) on a
-# 2-vCPU Xeon; (2, 13), at twice the bound, takes 5.4 s.  Rank 1 counts as
-# 2, so the bound also caps the depth of the evaluation.
+# ``rooted_bracket``.  A Hall basis is only words and a count, so the bases
+# no longer dominate: the first random-labeled tree in a process takes
+# 0.03-0.05 s at (n, k) = (4, 5) and (5, 4), 0.02 s at (3, 6) and 0.01 s
+# at (2, 12) on a 2-vCPU Xeon.  Rank 1 counts as 2, so the bound also caps
+# the depth of the evaluation.
 MAX_TREE_TERMS = 2**14
 
 
@@ -158,6 +158,23 @@ def clasper_to_json(g: ClasperGraph) -> dict:
     }
 
 
+def _union_find(vertices: Iterable, edges: Iterable[Tuple]) -> Callable:
+    """The root finder of the components of ``vertices`` joined by ``edges``."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return find
+
+
 def validate(g: ClasperGraph) -> GraphInfo:
     """Structural checks, then (degree, first Betti number, is_tree)."""
     problems: List[str] = []
@@ -208,28 +225,11 @@ def validate(g: ClasperGraph) -> GraphInfo:
     if problems:
         raise ValidationError("; ".join(problems))
 
-    # connectivity over vertices via union-find
-    parent = {vid: vid for vid, _ in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (va, _), (vb, _) in g.edges:
-        ra, rb = find(va), find(vb)
-        if ra != rb:
-            parent[ra] = rb
+    find = _union_find((vid for vid, _ in g.vertices), ((a[0], b[0]) for a, b in g.edges))
     components = {find(vid) for vid, _ in g.vertices}
-    ncomp = len(components) if g.vertices else 0
-
-    comp_has_trivalent = {root: False for root in components}
-    for vid, a in g.vertices:
-        if a == TRIVALENT:
-            comp_has_trivalent[find(vid)] = True
-    if not all(comp_has_trivalent.values()) or not g.vertices:
+    if not components or components != {find(vid) for vid, a in g.vertices if a == TRIVALENT}:
         raise ValidationError("every component needs at least one trivalent vertex")
+    ncomp = len(components)
 
     betti1 = len(g.edges) - len(g.vertices) + ncomp
     degree = sum(1 for _, a in g.vertices if a == TRIVALENT)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jfilt.automorphisms
+import jfilt.brackets
 import jfilt.words
 
 from jfilt.automorphisms import (
@@ -330,6 +332,25 @@ def test_symplectic_matrix_detects_failure():
     h = NilAut(ab, 3, [x1, x2, y1, x1 * y2])  # unimodular, pairing broken
     _, ok = symplectic_matrix(h)
     assert not ok
+
+
+def test_kernel_lifts_share_one_elimination_per_pair(monkeypatch):
+    calls = []
+    original = jfilt.brackets.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jfilt.brackets, "eliminate", counted)
+    jfilt.automorphisms._kernel_basis.cache_clear()
+    try:
+        lifts = [kernel_lift_tuple(3, 2, [c, 0, -1, 0, 0, 1]) for c in range(-10, 10)]
+    finally:
+        jfilt.automorphisms._kernel_basis.cache_clear()
+    assert len(calls) == 1
+    assert lifts[11] == kernel_lift_tuple(3, 2, [1, 0, -1, 0, 0, 1])
+    assert len({t.entries for t in lifts}) == 20
 
 
 def test_filtration_degree_examples():

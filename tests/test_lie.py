@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfilt.errors import PreconditionError, ValidationError
+import jfilt.lie
+from jfilt.errors import InvariantError, PreconditionError, ValidationError
 from jfilt.lie import (
     LieElement,
     basis_expansion,
@@ -71,6 +72,36 @@ def test_basis_expansion_triangular():
             exp = basis_expansion(w)
             assert exp[w] == 1
             assert all(m >= w for m in exp)
+
+
+@pytest.fixture
+def fresh_lie_caches():
+    caches = (jfilt.lie._expand, jfilt.lie.hall_basis, jfilt.lie._basis_index, lyndon_words)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_expansion_checks_unitriangularity_as_it_is_built(fresh_lie_caches, monkeypatch):
+    original = jfilt.lie.tensor_bracket
+
+    def skewed(left, right, out=None):
+        # Adds (0, 0), which sorts before every Lyndon word of length 2.
+        out = original(left, right, out)
+        out[(0, 0)] = out.get((0, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(jfilt.lie, "tensor_bracket", skewed)
+    with pytest.raises(InvariantError, match="unitriangular"):
+        basis_expansion((0, 1))
+
+
+def test_hall_basis_builds_no_tensor_expansion(fresh_lie_caches):
+    basis = hall_basis(2, 12)
+    assert len(basis.words) == witt_dimension(2, 12) == 335
+    assert jfilt.lie._expand.cache_info().currsize == 0
 
 
 def test_nested_bracket_hits_basis_vector():

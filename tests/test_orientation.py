@@ -5,6 +5,7 @@ import pytest
 import jfilt.orientation
 from jfilt.errors import NotOrientable, PreconditionError, ValidationError
 from jfilt.orientation import (
+    census,
     count_valid_orientations,
     enumerate_unitrivalent,
     orient,
@@ -198,6 +199,25 @@ def test_count_does_not_verify_orientations(monkeypatch):
 
     monkeypatch.setattr(jfilt.orientation, "verify_orientation", refuse)
     assert count_valid_orientations(theta()) == 6
+
+
+def test_census_verifies_each_orientable_graph_once(monkeypatch):
+    calls = []
+    original = jfilt.orientation.verify_orientation
+
+    def counted(g, orientation):
+        calls.append(g)
+        return original(g, orientation)
+
+    monkeypatch.setattr(jfilt.orientation, "verify_orientation", counted)
+    rows, mismatches = census(3)
+    assert mismatches == []
+    assert [(r["trivalent"], r["orientable"], r["not_orientable"]) for r in rows] == [
+        (1, 1, 1),
+        (2, 5, 1),
+        (3, 25, 3),
+    ]
+    assert len(calls) == sum(r["orientable"] for r in rows) == 31
 
 
 # ---------------------------------------------------------------------------
