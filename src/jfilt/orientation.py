@@ -38,9 +38,9 @@ from .trees import (
     UNIVALENT,
     ClasperGraph,
     Half,
+    _union_find,
     assemble_unitrivalent,
     render_half,
-    _union_find,
     validate,
 )
 
