@@ -30,7 +30,6 @@ from .lie import (
     LieElement,
     Words,
     _basis_index,
-    bracket_words,
     embed_lie,
     hall_basis,
     lie_map,
@@ -40,10 +39,11 @@ from .lie import (
 from .snf import Matrix, Row, eliminate
 
 # Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
-# its kernel basis takes about a second, (10, 2) has 8.2 million.  The matrix
-# route keeps only nonzero entries, so the bound guards its time and the size
-# of its output (a basis of about rank x columns entries), not a dense
-# allocation; it is checked before anything is built.
+# its kernel basis takes about 0.03 s (`jfilt dk basis 6 3`, which prints
+# 7 MB of it, about 0.6 s), (10, 2) has 8.2 million.  The matrix route keeps
+# only nonzero entries, so the bound guards its time and the size of its
+# output (a basis of about rank x columns entries), not a dense allocation;
+# it is checked before anything is built.
 MAX_MATRIX_CELLS = 4 * 10**6
 
 
@@ -117,15 +117,28 @@ def tensor_from_components(n: int, level: int, parts: Dict[int, LieElement]) -> 
     return TensorElement(n, level, tuple(coords))
 
 
-def bracket_map(t: TensorElement) -> LieElement:
-    """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
-    words = hall_basis(t.n, t.level + 1).words
+def _contract(n: int, level: int, coords: Dict[int, int]) -> Words:
+    """The contraction of the level-``level`` element with sparse
+    ``coords`` (index to nonzero coefficient), as Lyndon word to nonzero
+    coefficient: empty exactly when the element is in the kernel."""
+    words = hall_basis(n, level + 1).words
     w = len(words)
     out: Words = {}
-    for a in range(t.n):
-        part = {u: c for u, c in zip(words, t.coords[a * w : (a + 1) * w]) if c}
-        bracket_words({(a,): 1}, part, out)
-    return LieElement.from_words(t.n, t.level + 2, out)
+    for i, c in coords.items():
+        a, j = divmod(i, w)
+        for x, d in lyndon_bracket((a,), words[j]):
+            val = out.get(x, 0) + c * d
+            if val:
+                out[x] = val
+            else:
+                del out[x]
+    return out
+
+
+def bracket_map(t: TensorElement) -> LieElement:
+    """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
+    coords = {i: c for i, c in enumerate(t.coords) if c}
+    return LieElement.from_words(t.n, t.level + 2, _contract(t.n, t.level, coords))
 
 
 def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
@@ -188,20 +201,20 @@ def dk_rank(n: int, k: int, method: str = "formula") -> int:
 
 def dk_basis(n: int, k: int) -> List[TensorElement]:
     """Saturated integer basis of the contraction kernel at level ``k``:
-    the columns of the Smith form's ``V`` at zero diagonal places."""
+    the columns of the Smith form's ``V`` at zero diagonal places, each
+    checked on its sparse column before it is densified."""
     rows, cols = _bracket_rows(n, k)
     diagonal, _, vt = eliminate(rows, cols, want_v=True)
     diagonal += [0] * (cols - len(diagonal))
     out = []
     for d, col in zip(diagonal, vt):
         if d == 0:
+            if _contract(n, k, col):
+                raise InvariantError("kernel basis vector fails the contraction")
             coords = [0] * cols
             for i, x in col.items():
                 coords[i] = x
             out.append(TensorElement(n, k, tuple(coords)))
-    for elem in out:
-        if not bracket_map(elem).is_zero:
-            raise InvariantError("kernel basis vector fails the contraction")
     return out
 
 

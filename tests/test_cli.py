@@ -43,7 +43,7 @@ from jfilt.automorphisms import (
 from jfilt.brackets import dk_basis, dk_rank, tensor_from_json, tensor_to_json
 from jfilt.cli import _build_parser, run
 from jfilt.lagrangian import jl_element
-from jfilt.lie import LieElement, witt_dimension
+from jfilt.lie import witt_dimension
 from jfilt.trees import clasper_to_json, make_graph, random_labeled_tree, tree_to_dk
 
 
@@ -551,12 +551,11 @@ def test_selftest_checks_survive_optimized_mode():
 
 
 def test_failed_invariant_exits_4_without_traceback(capsys, monkeypatch):
-    def broken(t):
-        coords = [0] * witt_dimension(t.n, t.level + 2)
-        coords[0] = 1
-        return LieElement(t.n, t.level + 2, tuple(coords))
+    def broken(n, level, coords):
+        return {(0,) * (level + 1) + (1,): 1}
 
-    monkeypatch.setattr(jfilt.brackets, "bracket_map", broken)
+    # ``dk_basis`` checks each kernel vector through the sparse contraction.
+    monkeypatch.setattr(jfilt.brackets, "_contract", broken)
     code, out, err = invoke(capsys, "dk", "basis", "3", "1")
     assert code == 4
     assert out == ""

@@ -3,14 +3,17 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snf_reference
 from jfilt.brackets import bracket_matrix, dk_basis
 from jfilt.snf import (
+    eliminate,
     identity_matrix,
     integer_rank,
     invariant_factors,
@@ -213,6 +216,7 @@ DK_BASIS_DIGESTS = {
     (6, 1): "ab831f8522c92e56ac13b6416677b9b879b87fb96c630309b8ef5c4c24d75d82",
     (3, 4): "60b1ede6581e395dc3378eab9e3390e7bc6bf3a81700ce9e42d6e844b168c6c6",
     (4, 3): "4631140da97a5dc7486db1179445bc424152833a63f9962285b5eff64a1f480a",
+    (6, 2): "f0f5c4a8e58058c35e2d9c75d04c6b9928e54c0fd7a4cd3de841c354fafbea6c",
 }
 BRACKET_4_2_SNF_DIGEST = (
     "80e803ace4db1602ad92c3deaf641a3ac67e584f4671a808a2c824324b2ee54b"
@@ -243,6 +247,37 @@ def test_elimination_order_is_pinned_off_unit_pivots():
         assert _digest([[d.U, d.V, d.diagonal] for d in decs]) == REPLAY_DIGESTS[name], name
         # Without the transforms the same elimination gives the same diagonal.
         assert [invariant_factors(a) for a in family] == [d.diagonal for d in decs], name
+
+
+def _sparse_matrix(rng):
+    """Sparse rows and a width.  The entries come from one of three sets,
+    units with a 2, no units at all, or mixed, so the elimination meets
+    fill-in, non-unit pivots, remainder promotions and folds."""
+    nrows, cols = rng.randint(1, 10), rng.randint(1, 10)
+    density = rng.choice((0.15, 0.3, 0.6))
+    values = rng.choice(((1, -1, 2), (2, -3, 4, 6, -9), (1, -2, 3, -5, 7, 12)))
+    rows = [{j: rng.choice(values) for j in range(cols) if rng.random() < density}
+            for _ in range(nrows)]
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_eliminate_matches_the_scan_reference(seed):
+    rows, cols = _sparse_matrix(random.Random(seed))
+    for want in (False, True):
+        got = eliminate([dict(r) for r in rows], cols, want_u=want, want_v=want)
+        ref = snf_reference.eliminate([dict(r) for r in rows], cols, want_u=want, want_v=want)
+        assert got == ref
+
+
+def test_the_reference_family_takes_every_branch():
+    events = Counter()
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols = _sparse_matrix(rng)
+        snf_reference.eliminate(rows, cols, events=events)
+    assert min(events[e] for e in ("fill", "nonunit", "promote", "fold")) >= 50, events
 
 
 @settings(max_examples=60, deadline=None)
