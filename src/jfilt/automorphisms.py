@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import TensorElement, bracket_map, dk_basis, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import LieElement, tensor_to_lyndon
-from .snf import Matrix, invariant_factors, matmul, smith_normal_form, transpose
+from .snf import Matrix, identity_matrix, invariant_factors, matmul, smith_normal_form, transpose
 from .words import (
     FULL,
     X_ONLY,
@@ -47,10 +47,15 @@ from .words import (
     project_y,
     render_word,
     substitute,
+    substitute_series,
 )
 
 class NilAut:
-    """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g."""
+    """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g.
+
+    Queries read the Magnus series M(h(z_i)) below degree q, filled once
+    when first needed: from the image words, or from the operands' series
+    for a composition or a level reduction.  The words serve I/O."""
 
     def __init__(self, alphabet: Alphabet, level: int, images: Sequence[GroupWord]):
         if alphabet.kind != FULL:
@@ -62,16 +67,26 @@ class NilAut:
         for w in images:
             if w.alphabet != alphabet:
                 raise ValidationError("image over the wrong alphabet")
-        self.alphabet = alphabet
-        self.level = int(level)
-        self.images = tuple(images)
-        matrix = [list(w.abelianization()) for w in self.images]
+        images = tuple(images)
+        matrix = [list(w.abelianization()) for w in images]
         if invariant_factors(matrix) != [1] * len(matrix):
             raise ValidationError("abelianization is not invertible over the integers")
+        self._hold(alphabet, int(level), images, matrix, None)
+
+    def _hold(self, alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...],
+              matrix: Matrix, fill) -> "NilAut":
+        self.alphabet = alphabet
+        self.level = level
+        self.images = images
         self._abelianization = matrix
         # Memo for check_aut0 at this level; populated by constructions that
         # have already established the answer by an exactly equivalent test.
         self._aut0_known: Optional[bool] = None
+        self._series: Optional[Tuple[TruncatedSeries, ...]] = None
+        # (function, operands): the series is function(*operand series,
+        # level); None expands the images.
+        self._fill = fill
+        return self
 
     @property
     def genus(self) -> int:
@@ -86,14 +101,46 @@ class NilAut:
             raise ValidationError("word over the wrong alphabet")
         return substitute(w, self.images)
 
+    def series(self) -> Tuple[TruncatedSeries, ...]:
+        """M(h(z_i)) below degree ``level``, one per generator.  Operands are
+        filled first, from an explicit stack, so a long chain of compositions
+        does not recurse."""
+        stack = [self]
+        while stack:
+            h = stack[-1]
+            if h._series is None and h._fill is not None:
+                function, operands = h._fill
+                empty = [u for u in operands if u._series is None]
+                if empty:
+                    stack.extend(empty)
+                    continue
+                h._series, h._fill = function(*(u._series for u in operands), h.level), None
+            elif h._series is None:
+                h._series = tuple(magnus_expand(w, h.level) for w in h.images)
+            stack.pop()
+        return self._series
+
+    def projected_series(self, cutoff: int) -> List[Dict[Tuple[int, ...], int]]:
+        """The terms of M(project_y(h(x_i))) below ``cutoff`` for i < g, over
+        the y-alphabet: the held series with every X-variable killed, since
+        the projection is the homomorphism that sends each x_i to 1.  An
+        automorphism built from words that holds no series yet expands its
+        projected words instead, which are shorter than its images."""
+        g = self.genus
+        if self._series is None and self._fill is None:
+            return [magnus_expand(project_y(self.images[i]), cutoff).terms for i in range(g)]
+        return [
+            {tuple([j - g for j in m]): c for m, c in s.terms.items()
+             if len(m) < cutoff and (not m or min(m) >= g)}
+            for s in self.series()[:g]
+        ]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, NilAut):
             return NotImplemented
         if self.alphabet != other.alphabet or self.level != other.level:
             return False
-        return all(
-            nilpotent_equal(a, b, self.level) for a, b in zip(self.images, other.images)
-        )
+        return self.series() == other.series()
 
     __hash__ = None  # semantic equality is coarser than the stored words
 
@@ -101,9 +148,18 @@ class NilAut:
         return "NilAut(g=%d, q=%d)" % (self.genus, self.level)
 
 
+def _built(alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...], matrix: Matrix,
+           fill=None) -> NilAut:
+    """An automorphism made from checked ones (a composition, truncation or
+    inverse), whose abelianization ``matrix`` is unimodular by construction,
+    so it is not checked again."""
+    return object.__new__(NilAut)._hold(alphabet, level, images, matrix, fill)
+
+
 def identity_aut(g: int, q: int) -> NilAut:
     ab = Alphabet(g, FULL)
-    h = NilAut(ab, q, [generator(ab, i) for i in range(ab.size)])
+    h = _built(ab, q, tuple(generator(ab, i) for i in range(ab.size)), identity_matrix(ab.size))
+    h._series = tuple(TruncatedSeries(ab, q, {(): 1, (i,): 1}) for i in range(ab.size))
     h._aut0_known = True
     return h
 
@@ -116,22 +172,30 @@ def is_identity(h: NilAut) -> bool:
 
 def compose(h1: NilAut, h2: NilAut) -> NilAut:
     """``z -> h1(h2(z))``: h1 applies last, an order every formula
-    downstream assumes."""
+    downstream assumes.  Its series is h2's with Z_j replaced by
+    M(h1(z_j)) - 1, so the product's words are never expanded."""
     if h1.alphabet != h2.alphabet:
         raise ValidationError("alphabet mismatch")
     if h1.level != h2.level:
         raise ValidationError("level mismatch")
-    out = NilAut(h1.alphabet, h1.level, [h1.apply(w) for w in h2.images])
+    out = _built(
+        h1.alphabet, h1.level, tuple(h1.apply(w) for w in h2.images),
+        matmul(h2._abelianization, h1._abelianization), (substitute_series, (h2, h1)),
+    )
     if h1._aut0_known is True and h2._aut0_known is True:
         # The boundary stabilizer is closed under composition.
         out._aut0_known = True
     return out
 
 
+def _truncated(series, level: int) -> Tuple[TruncatedSeries, ...]:
+    return tuple(TruncatedSeries(s.alphabet, level, s.terms) for s in series)
+
+
 def reduce_level(h: NilAut, q: int) -> NilAut:
     if q > h.level:
         raise ValidationError("cannot raise the level")
-    out = NilAut(h.alphabet, q, h.images)
+    out = _built(h.alphabet, q, h.images, h._abelianization, (_truncated, (h,)))
     if h._aut0_known is True:
         # Stabilizing the boundary class mod F_{level+1} implies the same
         # one level down: truncation of an equality stays an equality.
@@ -158,7 +222,7 @@ def invert_aut(h: NilAut) -> NilAut:
             if e:
                 letters.append((j, e))
         images.append(GroupWord(ab, tuple(letters)))
-    g = NilAut(ab, h.level, images)
+    g = _built(ab, h.level, tuple(images), inverse_matrix)
     ident = identity_aut(h.genus, h.level)
     for _ in range(h.level):
         err = compose(h, g)
@@ -169,7 +233,9 @@ def invert_aut(h: NilAut) -> NilAut:
             z = generator(ab, i)
             w_z = z.inverse() * err.images[i]
             corr_images.append(z * w_z.inverse())
-        g = compose(g, NilAut(ab, h.level, corr_images))
+        # err is the identity on homology (A(h o g) = A^-1 A), so the
+        # correction is too.
+        g = compose(g, _built(ab, h.level, tuple(corr_images), identity_matrix(ab.size)))
     else:
         raise InvariantError("inverse iteration failed to converge")
     if h._aut0_known is True:
@@ -181,13 +247,17 @@ def invert_aut(h: NilAut) -> NilAut:
 def check_aut0(h: NilAut) -> bool:
     """Does ``h`` fix the boundary word one level deeper than its own level?
 
-    The answer is independent of the choice of generator-image lifts because
-    every generator has total exponent zero in the boundary word, so changing
-    images by weight-``q`` words moves ``h(omega)`` by weight ``q+1`` only.
+    It substitutes the held series M(h(z_j)), known below degree q, into
+    M(omega) below degree q+1.  That is M(h~(omega)) below q+1 for any lift
+    h~ of h one level up: a lift changes each M(h(z_j)) by some E_j of
+    degree >= q, and to first order the product M(h~(omega)) of the letters'
+    factors moves by the sum of the E_j weighted by the exponent sums of z_j
+    in omega, which are all 0; every other change has degree >= q+1.
     """
     if h._aut0_known is None:
-        w = omega(h.genus)
-        h._aut0_known = nilpotent_equal(h.apply(w), w, h.level + 1)
+        q = h.level
+        boundary = magnus_expand(omega(h.genus), q + 1)
+        h._aut0_known = substitute_series([boundary], h.series(), q + 1)[0] == boundary
     return h._aut0_known
 
 
@@ -208,23 +278,25 @@ def symplectic_matrix(h: NilAut) -> Tuple[Matrix, bool]:
     return h.abelianization(), ok
 
 
-def _displacement(h: NilAut, i: int, q: int) -> TruncatedSeries:
-    """The expansion of ``h(z_i) z_i^-1`` truncated below degree ``q``, as the
-    product of the two expansions, so ``h(z_i)`` keeps its substitution
-    record and the product word is never built."""
-    return magnus_expand(h.images[i], q) * magnus_expand(generator(h.alphabet, i).inverse(), q)
+def _displacements(h: NilAut) -> List[Dict[Tuple[int, ...], int]]:
+    """The terms of M(h(z_i)) - (1 + Z_i) below degree ``level``.  Their
+    lowest-degree part is that of the displacement M(h(z_i) z_i^-1) - 1,
+    which is (M(h(z_i)) - 1 - Z_i)(1 + Z_i)^-1."""
+    out = []
+    for i, s in enumerate(h.series()):
+        terms = dict(s.terms)
+        del terms[()]
+        c = terms.pop((i,), 0) - 1
+        if c:
+            terms[(i,)] = c
+        out.append(terms)
+    return out
 
 
 def filtration_degree(h: NilAut) -> int:
     """Largest ``k <= level-1`` with ``h = id`` on the class-``k`` quotient."""
-    best = h.level - 1
-    for i in range(h.alphabet.size):
-        low = _displacement(h, i, h.level).lowest_positive_degree()
-        if low is not None:
-            best = min(best, low - 1)
-        if best == 0:
-            break
-    return best
+    low = min((len(m) for terms in _displacements(h) for m in terms), default=h.level)
+    return low - 1
 
 
 def johnson_element(h: NilAut, k: int) -> TensorElement:
@@ -246,14 +318,13 @@ def johnson_element(h: NilAut, k: int) -> TensorElement:
     g = h.genus
     n = 2 * g
     displacements: List[LieElement] = []
-    for i in range(n):
-        series = _displacement(h, i, k + 2)
-        low = series.lowest_positive_degree()
-        if low is not None and low <= k:
+    for terms in _displacements(h):
+        if any(len(m) <= k for m in terms):
             raise PreconditionError(
                 "johnson_element: filtration_degree is below k = %d" % k
             )
-        displacements.append(tensor_to_lyndon(series.homogeneous(k + 1), n, k + 1))
+        top = {m: c for m, c in terms.items() if len(m) == k + 1}
+        displacements.append(tensor_to_lyndon(top, n, k + 1))
     parts: Dict[int, LieElement] = {}
     for i in range(g):
         parts[g + i] = displacements[i]  # y_i (x) d(x_i)

@@ -36,7 +36,6 @@ from .brackets import (
 from .errors import InvariantError, PreconditionError
 from .lie import tensor_to_lyndon, witt_dimension
 from .snf import Matrix, identity_matrix, transpose
-from .words import lcs_weight, magnus_expand, project_y
 
 __all__ = [
     "LagrangianReport",
@@ -63,8 +62,8 @@ def lagrangian_degree(h: NilAut) -> int:
     """Largest ``k`` such that every ``project_y(h(x_i))`` has weight at
     least ``k+1``, capped at ``h.level - 1`` (the deepest weight the working
     level can certify)."""
-    g = h.genus
-    return min(lcs_weight(project_y(h.images[i]), h.level) for i in range(g)) - 1
+    terms = h.projected_series(h.level)
+    return min((len(m) for t in terms for m in t if m), default=h.level) - 1
 
 
 def _y_block(h: NilAut) -> Matrix:
@@ -96,15 +95,11 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
         )
     g = h.genus
     classes = {}
-    for i in range(g):
-        # One expansion below degree k+2, the cutoff graded_class uses, serves
-        # both the degree check and the degree-(k+1) class; truncation keeps
-        # lower degrees as they are, so the working level would read the same.
-        series = magnus_expand(project_y(h.images[i]), k + 2)
-        low = series.lowest_positive_degree()
-        if low is not None and low <= k:
+    for i, terms in enumerate(h.projected_series(k + 2)):
+        if any(0 < len(m) <= k for m in terms):
             raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
-        classes[i] = tensor_to_lyndon(series.homogeneous(k + 1), g, k + 1)
+        top = {m: c for m, c in terms.items() if len(m) == k + 1}
+        classes[i] = tensor_to_lyndon(top, g, k + 1)
     value = tensor_from_components(g, k, classes)
     in_hat = _y_block(h) == identity_matrix(g)
     if in_hat and h._aut0_known is True:

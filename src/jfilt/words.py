@@ -167,13 +167,6 @@ class GroupWord:
     alphabet: Alphabet
     letters: Tuple[Letter, ...] = ()
 
-    # Not fields, so a plain word pays nothing for them.  ``substitute`` sets
-    # ``_substituted`` on its result to the letters and images it was built
-    # from; ``magnus_expand`` sets ``_factors`` on an image word to the
-    # factor terms it expanded, keyed by (cutoff, exponent).
-    _substituted = None
-    _factors = None
-
     def __post_init__(self):
         size = self.alphabet.size
         for gen, exp in self.letters:
@@ -221,12 +214,7 @@ def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
     """The word w with generator i replaced by ``images[i]``, which must be
     words over w's alphabet.  Each image, its inverse or its power joins the
     letters built so far at one seam.  A piece is refused before it is built
-    if it would take the word past MAX_WORD_LETTERS.
-
-    The result remembers w's letters and the images, so that
-    ``magnus_expand`` can expand it as the product of the images' expansions
-    (exact, see there) when the images w uses hold fewer letters than the
-    result."""
+    if it would take the word past MAX_WORD_LETTERS."""
     alphabet = w.alphabet
     if len(images) != alphabet.size:
         raise ValidationError("need one image per generator")
@@ -241,9 +229,7 @@ def substitute(w: GroupWord, images: Sequence[GroupWord]) -> GroupWord:
             _join(held, image if exp == 1 else _inverse_letters(image))
         else:
             _join(held, _power_letters(image, exp, held=len(held)))
-    out = GroupWord._reduced(alphabet, tuple(held))
-    object.__setattr__(out, "_substituted", (w.letters, tuple(images)))
-    return out
+    return GroupWord._reduced(alphabet, tuple(held))
 
 
 def word(alphabet: Alphabet, *letters: Letter) -> GroupWord:
@@ -357,6 +343,48 @@ class TruncatedSeries:
         return "TruncatedSeries(q=%d: %s)" % (self.cutoff, body or "0")
 
 
+def substitute_series(
+    series: Sequence[TruncatedSeries], images: Sequence[TruncatedSeries], cutoff: int
+) -> Tuple[TruncatedSeries, ...]:
+    """Each of ``series`` with Z_j replaced by ``images[j] - 1``, truncated
+    below ``cutoff``; every image must have constant term 1.
+
+    Substitution is a ring homomorphism, as is the expansion, so if
+    ``series`` holds M(u) and ``images[j]`` holds M(h(z_j)) for an
+    endomorphism h, the result holds M(h(u)) below ``cutoff``, however much
+    of h(u) cancels when it is written as a word (Magnus-Karrass-Solitar,
+    ch. 5).  A monomial Z_a...Z_b becomes (images[a] - 1)...(images[b] - 1),
+    built by one multiplication from the value of its prefix; monomials
+    shared by the series are built once."""
+    factors = [
+        sorted(((len(m), m, c) for m, c in image.terms.items() if m), key=lambda t: t[0])
+        for image in images
+    ]
+    values: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {(): {(): 1}}
+
+    def value(m: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+        out = values.get(m)
+        if out is None:
+            out = values[m] = {}
+            for head, c in value(m[:-1]).items():
+                room = cutoff - len(head)
+                for j, tail, b in factors[m[-1]]:
+                    if j >= room:
+                        break
+                    key = head + tail
+                    out[key] = out.get(key, 0) + c * b
+        return out
+
+    result = []
+    for s in series:
+        terms: Dict[Tuple[int, ...], int] = {}
+        for m, c in s.terms.items():
+            for key, v in value(m).items():
+                terms[key] = terms.get(key, 0) + c * v
+        result.append(TruncatedSeries(images[0].alphabet, cutoff, terms))
+    return tuple(result)
+
+
 def _right_multiply(by_degree: List[Dict[Tuple[int, ...], int]], factor) -> None:
     """Multiply the per-degree dicts on the right by 1 + F in place, where
     ``factor`` lists the terms of F as (degree, monomial, coefficient) by
@@ -403,79 +431,17 @@ def _expand_letters(by_degree: List[Dict[Tuple[int, ...], int]], letters: Iterab
         _right_multiply(by_degree, factor)
 
 
-def _unit(q: int) -> List[Dict[Tuple[int, ...], int]]:
-    return [{(): 1}] + [{} for _ in range(q - 1)]
-
-
-def _terms(by_degree: List[Dict[Tuple[int, ...], int]]):
-    """The non-constant terms, as ``_right_multiply`` takes a factor."""
-    return tuple((j, m, c) for j in range(1, len(by_degree)) for m, c in by_degree[j].items())
-
-
-def _image_factor(image: GroupWord, q: int, exp: int):
-    """The terms of M(image)^exp - 1 below degree q, as ``_right_multiply``
-    takes them, expanded from the image's own letters once and kept on the
-    image word."""
-    memo = image._factors
-    if memo is None:
-        memo = {}
-        object.__setattr__(image, "_factors", memo)
-    factor = memo.get((q, exp))
-    if factor is None:
-        by_degree = _unit(q)
-        if exp == 1:
-            _expand_letters(by_degree, image.letters)
-        elif exp == -1:
-            _expand_letters(by_degree, _inverse_letters(image.letters))
-        else:
-            # Square and multiply: O(log |exp|) multiplications.
-            base = _image_factor(image, q, 1 if exp > 0 else -1)
-            n = abs(exp)
-            while True:
-                if n & 1:
-                    _right_multiply(by_degree, base)
-                n >>= 1
-                if not n:
-                    break
-                square = _unit(q)
-                _right_multiply(square, base)
-                _right_multiply(square, base)
-                base = _terms(square)
-        factor = memo[(q, exp)] = _terms(by_degree)
-    return factor
-
-
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
 
     The terms are kept in one dict per degree, multiplied on the right by
     (1 + Z)^e for each letter z^e, in place and from the top degree down,
-    so a letter costs O(terms * q) and never visits the top degree.
-
-    A word built by ``substitute(u, images)`` equals h(u) for the
-    endomorphism h with h(z_i) = images[i], and the expansion is a ring
-    homomorphism, so its expansion is the product of M(images[i])^e over
-    the letters z_i^e of u (Magnus-Karrass-Solitar, ch. 5).  That is exact
-    whatever cancelled when the word was reduced.  When the images u uses
-    hold fewer letters in total than the word, it is expanded that way: one
-    right multiplication per letter of u, by a factor expanded from the
-    image's own letters once per (q, e) and kept on the image.  Otherwise
-    it goes letter by letter, since free cancellation can leave the word
-    shorter than its images (``phi_hat`` fixes each x_i y_i x_i^-1, so
-    h(omega) collapses).  Every call returns a new series."""
+    so a letter costs O(terms * q) and never visits the top degree.  Every
+    call returns a new series."""
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
-    by_degree = _unit(q)
-    through_images = False
-    if w._substituted is not None:
-        letters, images = w._substituted
-        used = {gen for gen, _ in letters}
-        through_images = sum(len(images[gen].letters) for gen in used) < len(w.letters)
-    if through_images:
-        for gen, exp in letters:
-            _right_multiply(by_degree, _image_factor(images[gen], q, exp))
-    else:
-        _expand_letters(by_degree, w.letters)
+    by_degree: List[Dict[Tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(q - 1)]
+    _expand_letters(by_degree, w.letters)
     series = TruncatedSeries(w.alphabet, q)
     for terms in by_degree:
         series.terms.update(terms)

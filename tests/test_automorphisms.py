@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jfilt.automorphisms
@@ -41,8 +41,9 @@ from jfilt.automorphisms import (
     tuples_equal,
     validate_tuple,
 )
-from jfilt.brackets import bracket_map, dk_basis, embed_tensor, tensor_from_components
+from jfilt.brackets import bracket_map, dk_basis, dk_rank, embed_tensor, tensor_from_components
 from jfilt.errors import PreconditionError, ValidationError
+from jfilt.lagrangian import jl_element, lagrangian_degree
 from jfilt.lie import graded_class
 from jfilt.snf import identity_matrix, matmul
 from jfilt.words import (
@@ -53,6 +54,7 @@ from jfilt.words import (
     GroupWord,
     commutator,
     generator,
+    nilpotent_equal,
     omega,
     project_y,
     render_word,
@@ -252,18 +254,22 @@ def test_invert_random_products():
         assert compose(h, invert_aut(h)) == identity_aut(2, 3)
 
 
-def test_a_chain_of_3000_compositions_is_queried_without_recursion():
-    # Each image of the chain is substituted into the images one composition
-    # before it, 3000 deep; expansion reads one level only.
+def test_a_chain_of_3000_compositions_is_queried_without_recursion(monkeypatch):
+    # The chain's series is substituted into the series one composition
+    # before it, 3000 deep; it is filled from a stack, not by recursion.
     t = framing_tuple(2, 4, [1, -1])
     h = NilAut(Alphabet(2, FULL), 4, phi_hat(t).images)  # no recorded check_aut0
     chain = functools.reduce(compose, [h] * 3000)
     expected = phi_hat(framing_tuple(2, 4, [3000, -3000]))
+    expanded = []
+    real = jfilt.automorphisms.magnus_expand
+    monkeypatch.setattr(jfilt.automorphisms, "magnus_expand", lambda w, q: expanded.append(w) or real(w, q))
     assert chain == expected
     assert [w.letters for w in chain.images] == [w.letters for w in expected.images]
-    # h(omega) = omega has 8 letters and the images 6: through the images.
     assert check_aut0(chain)
-    assert chain.images[0]._factors is not None
+    # Only h's images were expanded; the chain's series came by substitution.
+    assert expanded and not any(w is v for w in expanded for v in chain.images)
+    assert any(w is v for w in expanded for v in h.images)
     assert filtration_degree(chain) == filtration_degree(expected) == 0
 
 
@@ -317,6 +323,72 @@ def test_psi_hat_framing_is_symplectic_but_not_boundary_fixing():
     matrix, ok = symplectic_matrix(p)
     assert ok
     assert not check_aut0(fresh_copy(p))
+
+
+def test_check_aut0_rejects_a_mirrored_product():
+    # A full twist pushed onto the x-side moves the boundary class at level
+    # 3, and composing with a boundary-fixing factor cannot repair that.
+    h = compose(phi_hat(full_twist_tuple(2, 3, 1)), psi_hat(full_twist_tuple(2, 3, 1, X_ONLY)))
+    assert h._aut0_known is None
+    w = omega(2)
+    assert not nilpotent_equal(h.apply(w), w, 4)  # the word route
+    assert not check_aut0(h)
+    with pytest.raises(PreconditionError, match="check_aut0 fails"):
+        johnson_element(h, 1)
+
+
+def _factor(g, k, family, kind, seed):
+    """phi_hat of a y-tuple or psi_hat of an x-tuple at level k+2: a full
+    twist, or the kernel lift of one basis element with sign +-1."""
+    rng = random.Random(seed)
+    side = Y_ONLY if family == "phi" else X_ONLY
+    if kind == "twist":
+        t = full_twist_tuple(g, k + 2, rng.choice((-1, 1)), side)
+    else:
+        coeffs = [0] * dk_rank(g, k)
+        if coeffs:
+            coeffs[rng.randrange(len(coeffs))] = rng.choice((-1, 1))
+        t = kernel_lift_tuple(g, k, coeffs, side)
+    return (phi_hat if family == "phi" else psi_hat)(t)
+
+
+def _outcome(query, h, k):
+    try:
+        return query(h, k)
+    except PreconditionError:
+        return PreconditionError
+
+
+factor_specs = st.tuples(
+    st.sampled_from(["phi", "psi"]), st.sampled_from(["kernel", "twist"]), st.integers(0, 99)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.lists(factor_specs, min_size=1, max_size=3))
+@example(2, 1, [("psi", "twist", 18)])  # check_aut0 is False
+@example(2, 2, [("phi", "kernel", 82), ("phi", "kernel", 36)])  # True, 872 letters
+def test_series_queries_agree_with_the_bare_words(g, k, specs):
+    factors = [_factor(g, k, *spec) for spec in specs]
+    h = functools.reduce(compose, factors)
+    ab = h.alphabet
+    bare = NilAut(ab, h.level, [GroupWord(ab, w.letters) for w in h.images])
+    assert bare._aut0_known is None
+    # Lagrangian queries first, while the bare copy holds no series and
+    # expands its projected words.
+    assert lagrangian_degree(h) == lagrangian_degree(bare)
+    for j in range(1, h.level - 1):
+        assert _outcome(jl_element, h, j) == _outcome(jl_element, bare, j)
+    assert bare._series is None
+    assert h == bare
+    for other in (factors[0], identity_aut(g, h.level)):
+        assert (h == other) == (bare == other)
+    assert filtration_degree(h) == filtration_degree(bare)
+    h._aut0_known = None  # answer from the substituted series
+    w = omega(g)
+    assert check_aut0(h) == check_aut0(bare) == nilpotent_equal(bare.apply(w), w, h.level + 1)
+    for j in range(1, h.level - 1):
+        assert _outcome(johnson_element, h, j) == _outcome(johnson_element, bare, j)
 
 
 def test_symplectic_matrix_values():

@@ -205,6 +205,15 @@ def test_aut_check_aut0_and_degree(capsys, tmp_path):
     assert json.loads(out) == {"filtration_degree": 1}
 
 
+def test_non_unimodular_automorphism_exits_2(capsys, tmp_path):
+    # x1 -> x1^2 doubles the determinant: the Smith check where input enters
+    # refuses it before any query.
+    path = write_json(tmp_path, "h.json", {"g": 1, "q": 3, "images": {"x1": "x1^2", "y1": "y1"}})
+    code, out, err = invoke(capsys, "aut", "degree", path)
+    assert code == 2 and out == ""
+    assert "not invertible over the integers" in err
+
+
 def test_aut_johnson_default_k(capsys, tmp_path):
     h = kernel_aut()
     path = write_json(tmp_path, "h.json", aut_to_json(h))

@@ -264,34 +264,43 @@ def substitutions():
     return draw()
 
 
+def _through_images(w, images, q):
+    """M(w) with Z_j replaced by M(images[j]) - 1."""
+    expanded = [magnus_expand(image, q) for image in images]
+    return words.substitute_series([magnus_expand(w, q)], expanded, q)[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(substitutions(), st.integers(2, 5))
 def test_expansion_through_images_matches_the_letters(case, q):
     w, images = case
     built = words.substitute(w, images)
     assert magnus_expand(built, q) == magnus_expand(GroupWord(built.alphabet, built.letters), q)
+    assert _through_images(w, images, q) == magnus_expand(built, q)
 
 
-def test_expansion_goes_through_images_only_when_they_are_shorter():
+def test_series_substitution_matches_the_substituted_word():
     ab = Alphabet(2)
     x1, x2, y1, y2 = (generator(ab, i) for i in range(4))
     images = [x1 * y1, x2 * y2 * x1, y1, y2]
-    built = words.substitute(parse_word("(x1 x2)^5 x1^-3", ab), images)
+    w = parse_word("(x1 x2)^5 x1^-3", ab)
+    built = words.substitute(w, images)
     assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
-    assert set(images[0]._factors) == {(4, 1), (4, -1), (4, -3)}  # -3 from -1
-    assert set(images[1]._factors) == {(4, 1)}
-    # A power of an image is taken by squaring, not one factor at a time.
-    built = words.substitute(parse_word("x1^1000 x2^-999", ab), images)
+    assert _through_images(w, images, 4) == magnus_expand(built, 4)
+    # Powers of the images: M(w) holds binomial coefficients of 1000 and 999.
+    w = parse_word("x1^1000 x2^-999", ab)
+    built = words.substitute(w, images)
     assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
+    assert _through_images(w, images, 4) == magnus_expand(built, 4)
     # phi_hat of the full twist (y1 y2, y1 y2) fixes each x_i y_i x_i^-1 and
-    # y1 y2, so h(omega) has 8 letters against 14 in the images: it is
-    # expanded letter by letter.
+    # y1 y2, so h(omega) cancels to 8 letters against 14 in the images; the
+    # substitution agrees with the cancelled word.
     lam = y1 * y2
     images = [x1 * lam, x2 * lam, lam.inverse() * y1 * lam, lam.inverse() * y2 * lam]
     built = words.substitute(omega(2), images)
     assert len(built.letters) == 8
     assert magnus_expand(built, 4) == magnus_expand(GroupWord(ab, built.letters), 4)
-    assert all(image._factors is None for image in images)
+    assert _through_images(omega(2), images, 4) == magnus_expand(built, 4)
 
 
 def test_expansion_returns_a_new_series_every_call():
