@@ -152,7 +152,10 @@ def _built(alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...], matrix
            fill=None) -> NilAut:
     """An automorphism made from checked ones (a composition, truncation or
     inverse), whose abelianization ``matrix`` is unimodular by construction,
-    so it is not checked again."""
+    so it is not checked again.  The level is: ``reduce_level`` and
+    ``identity_aut`` take it from their caller."""
+    if level < 2:
+        raise ValidationError("level must be at least 2")
     return object.__new__(NilAut)._hold(alphabet, level, images, matrix, fill)
 
 

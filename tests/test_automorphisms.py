@@ -88,6 +88,11 @@ def test_constructor_validation():
         NilAut(ab, 3, xs[:3])  # one image per generator
     with pytest.raises(ValidationError):
         NilAut(ab, 3, [xs[0], xs[0], xs[2], xs[3]])  # determinant 0
+    # Constructions that take a level from their caller check it too.
+    with pytest.raises(ValidationError):
+        identity_aut(2, 1)
+    with pytest.raises(ValidationError):
+        reduce_level(NilAut(ab, 3, xs), 1)
 
 
 def elementary_product(size, ops):
@@ -375,7 +380,8 @@ def test_series_queries_agree_with_the_bare_words(g, k, specs):
     bare = NilAut(ab, h.level, [GroupWord(ab, w.letters) for w in h.images])
     assert bare._aut0_known is None
     # Lagrangian queries first, while the bare copy holds no series and
-    # expands its projected words.
+    # expands its projected words: this compares the two routes of
+    # ``projected_series``, and the check after the loop keeps it so.
     assert lagrangian_degree(h) == lagrangian_degree(bare)
     for j in range(1, h.level - 1):
         assert _outcome(jl_element, h, j) == _outcome(jl_element, bare, j)

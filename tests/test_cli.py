@@ -214,6 +214,15 @@ def test_non_unimodular_automorphism_exits_2(capsys, tmp_path):
     assert "not invertible over the integers" in err
 
 
+@pytest.mark.parametrize("level", ["1", "0", "-3"])
+def test_level_below_2_exits_2(capsys, tmp_path, level):
+    path = write_json(tmp_path, "h.json", aut_to_json(kernel_aut()))
+    for argv in (["aut", "degree", path], ["aut", "compose", path, path]):
+        code, out, err = invoke(capsys, *argv, "--level", level)
+        assert code == 2 and out == ""
+        assert "level must be at least 2" in err
+
+
 def test_aut_johnson_default_k(capsys, tmp_path):
     h = kernel_aut()
     path = write_json(tmp_path, "h.json", aut_to_json(h))
