@@ -121,7 +121,7 @@ def criterion_5_sign_calibration(seed: int = 0) -> Tuple[bool, str]:
     e4 = generator_element(4, 3)
     want = lie_bracket(e3, lie_bracket(e4, e3))
     return got == want, "rooted bracket coords %s match [a3,[a4,a3]]" % (
-        sorted(c for c in got.coords if c),
+        sorted(got.terms.values()),
     )
 
 

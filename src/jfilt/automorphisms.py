@@ -593,7 +593,7 @@ def kernel_lift_tuple(
     basis = _kernel_basis(g, k)
     if len(coefficients) != len(basis):
         raise ValidationError("need one coefficient per kernel basis element")
-    elem = TensorElement.zero(g, k)
+    elem = TensorElement(g, k, {})
     for c, b in zip(coefficients, basis):
         if c:
             elem = elem + b.scale(c)
@@ -619,9 +619,8 @@ def random_kernel_tuple(rng, g: int, k: int, kind: str = Y_ONLY, noise: bool = T
     for w in t.entries:
         extra = GroupWord(ab)
         if deep and rng.random() < 0.5:
-            coords = [0] * len(deep)
-            coords[rng.randrange(len(deep))] = rng.choice((-1, 1))
-            elem = LieElement(g, k + 2, tuple(coords))
+            sign = rng.choice((-1, 1))  # drawn before the word, as always
+            elem = LieElement(g, k + 2, {deep[rng.randrange(len(deep))]: sign})
             extra = lift_lie_element(elem, ab)
         entries.append(w * extra)
     return LongitudeTuple(t.genus, t.level, t.kind, tuple(entries))

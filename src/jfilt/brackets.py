@@ -15,8 +15,11 @@ routes:
 * explicit integer linear algebra on the contraction matrix (Smith normal
   form), which also yields a saturated integer basis of the kernel.
 
-Coordinates are generator-major: the coefficient of ``e_a (x) P_u`` lives at
-index ``a * W(n, k+1) + (index of u)`` over the ordered Lyndon basis.
+An element stores only its nonzero coefficients, keyed by the pair
+``(a, u)`` of a generator and a Lyndon word.  The generator-major index
+``a * W(n, k+1) + (index of u)`` over the ordered Lyndon basis is only the
+layout of the dense view ``TensorElement.coords``, of JSON, and of the
+columns of the contraction matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import (
     LieElement,
+    Monomial,
+    SparseElement,
     Words,
     _basis_index,
+    _terms_index,
     embed_lie,
     hall_basis,
     lie_map,
@@ -47,86 +53,64 @@ from .snf import Matrix, Row, eliminate
 MAX_MATRIX_CELLS = 4 * 10**6
 
 
-@dataclass(frozen=True)
-class TensorElement:
-    """Element of (rank-``n`` lattice) tensor (degree ``k+1`` Lie part)."""
+@dataclass(frozen=True, eq=False, repr=False)
+class TensorElement(SparseElement):
+    """Element of (rank-``n`` lattice) tensor (degree ``k+1`` Lie part):
+    ``(a, u)`` -> nonzero coefficient of ``e_a (x) P_u``."""
 
     n: int
     level: int
-    coords: Tuple[int, ...]
+    terms: Dict[Tuple[int, Monomial], int]
 
     def __post_init__(self):
         if self.level < 1:
             raise ValidationError("level must be at least 1")
-        expected = self.n * witt_dimension(self.n, self.level + 1)
-        if len(self.coords) != expected:
-            raise ValidationError(
-                "coordinate length %d does not match n*W = %d" % (len(self.coords), expected)
-            )
+        index = _terms_index(self.terms, self.n, self.level + 1)
+        n = self.n
+        try:
+            for (a, u), c in self.terms.items():
+                if not (c and 0 <= a < n and u in index):
+                    break
+            else:
+                return
+        except (TypeError, ValueError):
+            pass
+        raise ValidationError("terms hold a key outside the basis or a zero coefficient")
 
-    @classmethod
-    def zero(cls, n: int, level: int) -> "TensorElement":
-        return cls(n, level, (0,) * (n * witt_dimension(n, level + 1)))
+    def _shape(self) -> Tuple[int, int]:
+        return self.n, self.level
 
     @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _check(self, other: "TensorElement"):
-        if self.n != other.n or self.level != other.level:
-            raise ValidationError("mixed ranks or levels")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        return TensorElement(
-            self.n, self.level, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        return TensorElement(
-            self.n, self.level, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "TensorElement":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "TensorElement":
-        return TensorElement(self.n, self.level, tuple(c * a for a in self.coords))
+    def coords(self) -> Tuple[int, ...]:
+        """The dense view, generator-major (see the module docstring)."""
+        words = hall_basis(self.n, self.level + 1).words
+        return tuple(self.terms.get((a, u), 0) for a in range(self.n) for u in words)
 
     def component(self, a: int) -> LieElement:
         """The Lie part tensored with generator ``a``."""
-        w = witt_dimension(self.n, self.level + 1)
-        return LieElement(self.n, self.level + 1, self.coords[a * w : (a + 1) * w])
-
-    def components(self) -> List[LieElement]:
-        return [self.component(a) for a in range(self.n)]
+        terms = {u: c for (b, u), c in self.terms.items() if b == a}
+        return LieElement(self.n, self.level + 1, terms)
 
 
 def tensor_from_components(n: int, level: int, parts: Dict[int, LieElement]) -> TensorElement:
     """Build an element from a map ``generator index -> Lie part``."""
-    w = witt_dimension(n, level + 1)
-    coords = [0] * (n * w)
+    terms = {}
     for a, elem in parts.items():
         if not 0 <= a < n:
             raise ValidationError("generator index out of range")
         if elem.n != n or elem.degree != level + 1:
             raise ValidationError("Lie part has wrong rank or degree")
-        for i, c in enumerate(elem.coords):
-            coords[a * w + i] += c
-    return TensorElement(n, level, tuple(coords))
+        for u, c in elem.terms.items():
+            terms[a, u] = c
+    return TensorElement(n, level, terms)
 
 
-def _contract(n: int, level: int, coords: Dict[int, int]) -> Words:
-    """The contraction of the level-``level`` element with sparse
-    ``coords`` (index to nonzero coefficient), as Lyndon word to nonzero
-    coefficient: empty exactly when the element is in the kernel."""
-    words = hall_basis(n, level + 1).words
-    w = len(words)
+def _contract(terms: Dict[Tuple[int, Monomial], int]) -> Words:
+    """The contraction of the element with ``terms``, as Lyndon word to
+    nonzero coefficient: empty exactly when the element is in the kernel."""
     out: Words = {}
-    for i, c in coords.items():
-        a, j = divmod(i, w)
-        for x, d in lyndon_bracket((a,), words[j]):
+    for (a, u), c in terms.items():
+        for x, d in lyndon_bracket((a,), u):
             val = out.get(x, 0) + c * d
             if val:
                 out[x] = val
@@ -137,8 +121,7 @@ def _contract(n: int, level: int, coords: Dict[int, int]) -> Words:
 
 def bracket_map(t: TensorElement) -> LieElement:
     """Contract ``e_a (x) P  ->  [e_a, P]``, landing in degree ``level + 2``."""
-    coords = {i: c for i, c in enumerate(t.coords) if c}
-    return LieElement.from_words(t.n, t.level + 2, _contract(t.n, t.level, coords))
+    return LieElement(t.n, t.level + 2, _contract(t.terms))
 
 
 def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
@@ -202,19 +185,19 @@ def dk_rank(n: int, k: int, method: str = "formula") -> int:
 def dk_basis(n: int, k: int) -> List[TensorElement]:
     """Saturated integer basis of the contraction kernel at level ``k``:
     the columns of the Smith form's ``V`` at zero diagonal places, each
-    checked on its sparse column before it is densified."""
+    checked to contract to zero."""
     rows, cols = _bracket_rows(n, k)
     diagonal, _, vt = eliminate(rows, cols, want_v=True)
     diagonal += [0] * (cols - len(diagonal))
+    # The (a, u) key of each column, in the generator-major column order.
+    keys = [(a, u) for a in range(n) for u in hall_basis(n, k + 1).words]
     out = []
     for d, col in zip(diagonal, vt):
         if d == 0:
-            if _contract(n, k, col):
+            terms = {keys[i]: x for i, x in col.items()}
+            if _contract(terms):
                 raise InvariantError("kernel basis vector fails the contraction")
-            coords = [0] * cols
-            for i, x in col.items():
-                coords[i] = x
-            out.append(TensorElement(n, k, tuple(coords)))
+            out.append(TensorElement(n, k, terms))
     return out
 
 
@@ -229,12 +212,7 @@ def a1_dimensions(g: int) -> Tuple[int, int]:
 
 def embed_tensor(t: TensorElement, n_target: int, shift: int) -> TensorElement:
     """Push a tensor element along the inclusion ``e_a -> e_(a+shift)``."""
-    parts: Dict[int, LieElement] = {}
-    for a in range(t.n):
-        comp = t.component(a)
-        if comp.is_zero:
-            continue
-        parts[a + shift] = embed_lie(comp, n_target, shift)
+    parts = {a + shift: embed_lie(t.component(a), n_target, shift) for a in range(t.n)}
     return tensor_from_components(n_target, t.level, parts)
 
 
@@ -249,31 +227,17 @@ def map_tensor_first(matrix: Sequence[Sequence[int]], t: TensorElement) -> Tenso
     n = t.n
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValidationError("matrix shape does not match the tensor rank")
-    w = witt_dimension(n, t.level + 1)
-    coords = [0] * (n * w)
-    for a in range(n):
-        block = t.coords[a * w : (a + 1) * w]
-        if not any(block):
-            continue
-        for m in range(n):
-            f = matrix[a][m]
-            if f == 0:
-                continue
-            base = m * w
-            for i, c in enumerate(block):
-                if c:
-                    coords[base + i] += f * c
-    return TensorElement(n, t.level, tuple(coords))
+    out: Dict[Tuple[int, Monomial], int] = {}
+    for (a, u), c in t.terms.items():
+        for m, f in enumerate(matrix[a]):
+            if f:
+                out[m, u] = out.get((m, u), 0) + f * c
+    return TensorElement(n, t.level, {key: c for key, c in out.items() if c})
 
 
 def map_tensor_second(matrix: Sequence[Sequence[int]], t: TensorElement) -> TensorElement:
     """Transform the Lie factor by the ring map induced by ``matrix``."""
-    parts: Dict[int, LieElement] = {}
-    for a in range(t.n):
-        comp = t.component(a)
-        if comp.is_zero:
-            continue
-        parts[a] = lie_map(matrix, comp, t.n)
+    parts = {a: lie_map(matrix, t.component(a), t.n) for a in range(t.n)}
     return tensor_from_components(t.n, t.level, parts)
 
 
@@ -282,9 +246,20 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def tensor_from_json(data: dict) -> TensorElement:
+    """The one dense reader: ``coords`` is a list in the layout of
+    ``TensorElement.coords``."""
     try:
-        return TensorElement(
-            int(data["n"]), int(data["k"]), tuple(int(c) for c in data["coords"])
-        )
-    except (KeyError, TypeError) as exc:
+        n, level, coords = int(data["n"]), int(data["k"]), data["coords"]
+        if not isinstance(coords, list):
+            raise TypeError("coords must be a list")
+        values = [int(c) for c in coords]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad tensor element payload: %s" % (exc,))
+    expected = n * witt_dimension(n, level + 1)
+    if len(values) != expected:
+        raise ValidationError(
+            "coordinate length %d does not match n*W = %d" % (len(values), expected)
+        )
+    words = hall_basis(n, level + 1).words
+    keys = ((a, u) for a in range(n) for u in words)
+    return TensorElement(n, level, {key: c for key, c in zip(keys, values) if c})

@@ -19,7 +19,7 @@ the Lie subspace.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -193,72 +193,89 @@ def _basis_index(n: int, degree: int) -> Dict[Monomial, int]:
     return {w: i for i, w in enumerate(hall_basis(n, degree).words)}
 
 
-@dataclass(frozen=True)
-class LieElement:
-    n: int
-    degree: int
-    coords: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != witt_dimension(self.n, self.degree):
-            raise ValidationError("coordinate length does not match the basis")
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "LieElement":
-        return cls(n, degree, (0,) * witt_dimension(n, degree))
+class SparseElement:
+    """What ``LieElement`` and ``TensorElement`` share: an element is its
+    shape ``(n, grade)`` and ``terms``, a dict from basis key to nonzero int
+    that no one mutates once the element holds it.  Equal elements compare
+    and hash equal whatever order their terms were built in, and the repr
+    lists the terms sorted, so it is canonical too."""
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.terms
 
-    def _check(self, other: "LieElement"):
-        if self.n != other.n or self.degree != other.degree:
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        terms = ", ".join("%r: %r" % item for item in sorted(self.terms.items()))
+        return "%s(%d, %d, {%s})" % (type(self).__name__, *self._shape(), terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self) or self._shape() != other._shape():
             raise ValidationError("mixed ranks or degrees")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return replace(self, terms={key: c for key, c in out.items() if c})
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.n, self.degree, tuple(a + b for a, b in zip(self.coords, other.coords)))
+    def __sub__(self, other):
+        return self + -other
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.n, self.degree, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LieElement":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, c: int) -> "LieElement":
-        return LieElement(self.n, self.degree, tuple(c * a for a in self.coords))
+    def scale(self, c: int):
+        return replace(self, terms={key: c * x for key, x in self.terms.items()} if c else {})
 
-    @classmethod
-    def from_sparse(cls, n: int, degree: int, coords: Dict[int, int]) -> "LieElement":
-        dense = [0] * witt_dimension(n, degree)
-        for i, c in coords.items():
-            dense[i] = c
-        return cls(n, degree, tuple(dense))
 
-    @classmethod
-    def from_words(cls, n: int, degree: int, words: Words) -> "LieElement":
-        """The element with the given coefficients on degree-``degree``
-        Lyndon words over the n letters."""
-        index = _basis_index(n, degree)
-        return cls.from_sparse(n, degree, {index[w]: c for w, c in words.items()})
+def _terms_index(terms, n: int, degree: int) -> Dict[Monomial, int]:
+    # Checks that ``terms`` is a dict and returns the Lyndon index of the
+    # degree, against which the caller checks each key and coefficient.
+    if not isinstance(terms, dict):
+        raise ValidationError("terms must be a dict from basis key to nonzero int")
+    if terms:
+        return _basis_index(n, degree)  # refuses n or degree below 1
+    witt_dimension(n, degree)
+    return {}
 
-    def words(self) -> Words:
-        """Lyndon word -> nonzero coefficient."""
-        basis = hall_basis(self.n, self.degree).words
-        return {w: c for w, c in zip(basis, self.coords) if c}
+
+@dataclass(frozen=True, eq=False, repr=False)
+class LieElement(SparseElement):
+    """Degree-``degree`` element over ``n`` generators: Lyndon word ->
+    nonzero coefficient.  ``coords`` is its dense view over the Lyndon
+    basis, for output only."""
+
+    n: int
+    degree: int
+    terms: Words
+
+    def __post_init__(self):
+        index = _terms_index(self.terms, self.n, self.degree)
+        if not (self.terms.keys() <= index.keys() and all(self.terms.values())):
+            raise ValidationError("terms hold a word outside the basis or a zero coefficient")
+
+    def _shape(self) -> Tuple[int, int]:
+        return self.n, self.degree
+
+    @property
+    def coords(self) -> Tuple[int, ...]:
+        return tuple(self.terms.get(w, 0) for w in hall_basis(self.n, self.degree).words)
 
 
 def generator_element(n: int, index: int) -> LieElement:
     if not 0 <= index < n:
         raise ValidationError("generator index out of range")
-    coords = [0] * n
-    coords[index] = 1
-    return LieElement(n, 1, tuple(coords))
+    return LieElement(n, 1, {(index,): 1})
 
 
-def lyndon_coords(tensor: Tensor, n: int, degree: int) -> Dict[int, int]:
-    """Triangular change of basis, sparse: basis index -> nonzero coefficient.
+def lyndon_coords(tensor: Tensor, n: int, degree: int) -> Words:
+    """Triangular change of basis, sparse: Lyndon word -> nonzero coefficient.
 
     Walks only the monomials the tensor holds and those its subtractions
     bring in, least first.  The least one left must be a Lyndon word w,
@@ -273,16 +290,15 @@ def lyndon_coords(tensor: Tensor, n: int, degree: int) -> Dict[int, int]:
     work = {m: c for m, c in tensor.items() if c}
     heap = list(work)
     heapq.heapify(heap)
-    coords: Dict[int, int] = {}
+    coords: Words = {}
     while heap:
         w = heapq.heappop(heap)
         c = work[w]
         if not c:
             continue
-        i = index.get(w)
-        if i is None:
+        if w not in index:
             raise ValidationError("tensor is not a Lie element")
-        coords[i] = c
+        coords[w] = c
         for m, cm in _expand(w)[1:]:
             if m in work:
                 work[m] -= c * cm
@@ -299,13 +315,13 @@ def tensor_to_lyndon(tensor: Tensor, n: int, degree: int) -> LieElement:
     for m, c in tensor.items():
         if c and (len(m) != degree or not all(0 <= letter < n for letter in m)):
             raise ValidationError("tensor monomials must be homogeneous over the n letters")
-    return LieElement.from_sparse(n, degree, lyndon_coords(tensor, n, degree))
+    return LieElement(n, degree, lyndon_coords(tensor, n, degree))
 
 
 def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
     if u.n != v.n:
         raise ValidationError("mixed ranks")
-    return LieElement.from_words(u.n, u.degree + v.degree, bracket_words(u.words(), v.words()))
+    return LieElement(u.n, u.degree + v.degree, bracket_words(u.terms, v.terms))
 
 
 def graded_class(w: GroupWord, k: int) -> LieElement:
@@ -315,7 +331,7 @@ def graded_class(w: GroupWord, k: int) -> LieElement:
         raise ValidationError("degree must be at least 1")
     n = w.alphabet.size
     if k == 1:
-        return LieElement(n, 1, w.abelianization())
+        return LieElement(n, 1, {(i,): c for i, c in enumerate(w.abelianization()) if c})
     series = magnus_expand(w, k + 1)
     low = series.lowest_positive_degree()
     if low is not None and low < k:
@@ -340,10 +356,10 @@ def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:
         return images[w]
 
     out: Words = {}
-    for w, c in elem.words().items():
+    for w, c in elem.terms.items():
         for x, d in image(w).items():
             out[x] = out.get(x, 0) + c * d
-    return LieElement.from_words(n_target, elem.degree, out)
+    return LieElement(n_target, elem.degree, {x: c for x, c in out.items() if c})
 
 
 def embed_lie(elem: LieElement, n_target: int, shift: int) -> LieElement:
@@ -351,14 +367,8 @@ def embed_lie(elem: LieElement, n_target: int, shift: int) -> LieElement:
     words map to basis words."""
     if shift < 0 or elem.n + shift > n_target:
         raise ValidationError("embedding does not fit in the target rank")
-    target = hall_basis(n_target, elem.degree)
-    index = _basis_index(n_target, elem.degree)
-    coords = [0] * len(target.words)
-    for c, w in zip(elem.coords, hall_basis(elem.n, elem.degree).words):
-        if c:
-            shifted = tuple(letter + shift for letter in w)
-            coords[index[shifted]] = c
-    return LieElement(n_target, elem.degree, tuple(coords))
+    terms = {tuple(letter + shift for letter in w): c for w, c in elem.terms.items()}
+    return LieElement(n_target, elem.degree, terms)
 
 
 def group_bracketing(w: Monomial, alphabet: Alphabet) -> GroupWord:
@@ -379,7 +389,8 @@ def lift_lie_element(elem: LieElement, alphabet: Alphabet) -> GroupWord:
     if alphabet.size != elem.n:
         raise ValidationError("alphabet size must match the Lie rank")
     letters = []
-    for c, w in zip(elem.coords, hall_basis(elem.n, elem.degree).words):
-        if c:
-            letters += (group_bracketing(w, alphabet) ** c).letters
+    # Sorted words are the basis order, so the word does not depend on the
+    # order the terms were built in.
+    for w, c in sorted(elem.terms.items()):
+        letters += (group_bracketing(w, alphabet) ** c).letters
     return GroupWord(alphabet, tuple(letters))

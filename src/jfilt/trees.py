@@ -35,8 +35,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .brackets import TensorElement, bracket_map, dk_rank
 from .errors import InvariantError, PreconditionError, ValidationError
-from .lie import LieElement, Words, _basis_index, bracket_words, witt_dimension
-from .snf import integer_rank
+from .lie import LieElement, Words, bracket_words
+from .snf import eliminate
 
 Half = Tuple[str, int]
 
@@ -293,7 +293,7 @@ def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
     info = _validate_tree(g, "rooted_bracket")
     if g.arity_map().get(root) != UNIVALENT:
         raise ValidationError("root %r is not a univalent vertex" % root)
-    return LieElement.from_words(g.n, info.degree + 1, _tree_evaluator(g)(root))
+    return LieElement(g.n, info.degree + 1, _tree_evaluator(g)(root))
 
 
 def tree_to_dk(g: ClasperGraph) -> TensorElement:
@@ -301,19 +301,21 @@ def tree_to_dk(g: ClasperGraph) -> TensorElement:
     is checked on the result."""
     k = _validate_tree(g, "tree_to_dk").degree
     evaluate = _tree_evaluator(g)
-    w = witt_dimension(g.n, k + 1)
-    index = _basis_index(g.n, k + 1)
-    coords = [0] * (g.n * w)
+    # Lyndon word -> its coefficient on each generator, so that each word is
+    # looked up once per leaf, not once per label entry.
+    rows: Dict[Tuple[int, ...], List[int]] = {}
     for vid, vec in g.label_map().items():
-        if all(c == 0 for c in vec):
+        label = [(a, x) for a, x in enumerate(vec) if x]
+        if not label:
             continue
-        elem = [(index[u], c) for u, c in evaluate(vid).items()]
-        for a in range(g.n):
-            if vec[a] == 0:
-                continue
-            for i, c in elem:
-                coords[a * w + i] += vec[a] * c
-    out = TensorElement(g.n, k, tuple(coords))
+        for u, c in evaluate(vid).items():
+            row = rows.get(u)
+            if row is None:
+                row = rows[u] = [0] * g.n
+            for a, x in label:
+                row[a] += x * c
+    terms = {(a, u): c for u, row in rows.items() for a, c in enumerate(row) if c}
+    out = TensorElement(g.n, k, terms)
     if not bracket_map(out).is_zero:
         raise InvariantError("tree image escaped the contraction kernel")
     return out
@@ -476,14 +478,18 @@ def span_check(n: int, k: int) -> Tuple[int, int]:
     if not (1 <= k <= 6 and 1 <= n and n ** (k + 2) <= 4096):
         raise PreconditionError("span_check needs n >= 1, 1 <= k <= 6 and n^(k+2) <= 4096")
     # Images still repeat up to sign (144 labelings, 48 lines at (4, 3)), and
-    # the rank's work grows with the row count: keep one row per line.
+    # the rank's work grows with the row count: keep one row per line, with
+    # a positive coefficient at its least key.
     caterpillar = [(i, i + 1) for i in range(k - 1)]
-    rows = set()
+    images: Dict[TensorElement, None] = {}
     for labels in _caterpillar_labelings(n, k):
-        coords = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels)).coords
-        lead = next((c for c in coords if c), 0)
-        rows.add(coords if lead >= 0 else tuple(-c for c in coords))
-    return integer_rank(sorted(rows)), dk_rank(n, k)
+        t = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels))
+        if t.terms:
+            images[t if t.terms[min(t.terms)] > 0 else -t] = None
+    columns: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    rows = [{columns.setdefault(key, len(columns)): c for key, c in t.terms.items()}
+            for t in images]
+    return sum(1 for d in eliminate(rows, len(columns))[0] if d), dk_rank(n, k)
 
 
 def random_labeled_tree(rng: random.Random, n: int, k: int) -> ClasperGraph:

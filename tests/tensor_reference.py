@@ -5,7 +5,9 @@ Each function here expands its Lie inputs into the tensor algebra, brackets
 there as ``xy - yx`` and reads the result back with the triangular
 elimination of ``lyndon_coords``.  That is the route the library took before
 it bracketed Lyndon words directly; the tests keep it as an independent
-reference.
+reference.  The dense helpers at the end build elements from, and read them
+back to, generator-major coordinate tuples by index arithmetic, the layout
+the elements stored before they kept only their nonzero terms.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from jfilt.trees import TRIVALENT, UNIVALENT, ClasperGraph, validate
 
 def lie_to_tensor(elem: LieElement) -> Tensor:
     out: Tensor = {}
-    for coeff, w in zip(elem.coords, hall_basis(elem.n, elem.degree).words):
-        if coeff == 0:
-            continue
+    for w, coeff in elem.terms.items():
         for m, c in basis_expansion(w).items():
             val = out.get(m, 0) + coeff * c
             if val:
@@ -43,8 +43,7 @@ def lyndon_of(u, v):
     n = max(u + v) + 1
     degree = len(u) + len(v)
     tensor = tensor_bracket(basis_expansion(u), basis_expansion(v))
-    elem = tensor_to_lyndon(tensor, n, degree)
-    return {w: c for w, c in zip(hall_basis(n, degree).words, elem.coords) if c}
+    return dict(tensor_to_lyndon(tensor, n, degree).terms)
 
 
 def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
@@ -108,6 +107,38 @@ def tree_to_dk(g: ClasperGraph) -> TensorElement:
     for vid, vec in g.label_map().items():
         elem = tensor_to_lyndon(evaluate(vid), g.n, k + 1)
         for a in range(g.n):
-            for i, c in enumerate(elem.coords):
+            for i, c in enumerate(dense_coords(elem)):
                 coords[a * w + i] += vec[a] * c
-    return TensorElement(g.n, k, tuple(coords))
+    return tensor_from_coords(g.n, k, coords)
+
+
+def lie_from_coords(n: int, degree: int, coords) -> LieElement:
+    """The element with the given coordinates over the Lyndon basis."""
+    words = hall_basis(n, degree).words
+    assert len(coords) == len(words)
+    return LieElement(n, degree, {w: c for w, c in zip(words, coords) if c})
+
+
+def tensor_from_coords(n: int, level: int, coords) -> TensorElement:
+    """The element whose coefficient of ``e_a (x) P_u`` sits at index
+    ``a * W(n, level+1) + (index of u)``."""
+    words = hall_basis(n, level + 1).words
+    assert len(coords) == n * len(words)
+    w = len(words)
+    return TensorElement(n, level, {(i // w, words[i % w]): c for i, c in enumerate(coords) if c})
+
+
+def dense_coords(elem) -> tuple:
+    """The generator-major coordinates of a Lie or tensor element."""
+    if isinstance(elem, LieElement):
+        basis = hall_basis(elem.n, elem.degree)
+        out = [0] * len(basis.words)
+        for u, c in elem.terms.items():
+            out[basis.index(u)] = c
+        return tuple(out)
+    basis = hall_basis(elem.n, elem.level + 1)
+    w = len(basis.words)
+    out = [0] * (elem.n * w)
+    for (a, u), c in elem.terms.items():
+        out[a * w + basis.index(u)] = c
+    return tuple(out)

@@ -34,7 +34,7 @@ from jfilt.lie import (
 )
 from jfilt.snf import integer_rank
 
-from tensor_reference import lie_to_tensor
+from tensor_reference import dense_coords, lie_to_tensor, tensor_from_coords
 
 
 def test_frozen_rank_values():
@@ -118,9 +118,10 @@ def test_simple_tensor_contraction():
 def test_bracket_map_matches_the_validating_read_back(n, k, seed):
     rng = random.Random(seed)
     coords = tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n * witt_dimension(n, k + 1)))
-    t = TensorElement(n, k, coords)
+    t = tensor_from_coords(n, k, coords)
     tensor = {}
-    for a, part in enumerate(t.components()):
+    for a in range(n):
+        part = t.component(a)
         tensor_bracket({(a,): 1}, lie_to_tensor(part), tensor)
     assert bracket_map(t) == tensor_to_lyndon(tensor, n, k + 2)
 
@@ -152,25 +153,38 @@ def test_component_roundtrip():
     rng = random.Random(3)
     w = witt_dimension(n, k + 1)
     coords = tuple(rng.randint(-4, 4) for _ in range(n * w))
-    t = TensorElement(n, k, coords)
-    rebuilt = tensor_from_components(n, k, dict(enumerate(t.components())))
+    t = tensor_from_coords(n, k, coords)
+    rebuilt = tensor_from_components(n, k, {a: t.component(a) for a in range(n)})
     assert rebuilt == t
 
 
 def test_arithmetic_and_validation():
-    t = TensorElement.zero(2, 1)
+    t = TensorElement(2, 1, {})
     assert t.is_zero
     bracket = lie_bracket(generator_element(2, 0), generator_element(2, 1))
     u = tensor_from_components(2, 1, {1: bracket})
     assert (u + t) == u
     assert (u - u).is_zero
     assert u.scale(-3) == -(u + u + u)
+    # Terms must be a dict of nonzero coefficients on basis keys.
+    for terms in (
+        (0,),
+        {(0, (0, 1)): 0},
+        {(2, (0, 1)): 1},
+        {(0, (1, 0)): 1},
+        {(0, (0, 1, 1)): 1},
+        {(0, (0, 1), 5): 1},
+        {0: 1},
+    ):
+        with pytest.raises(ValidationError):
+            TensorElement(2, 1, terms)
+    for terms in ((1,), {(0, 1): 0}, {(1, 0): 1}, {(0, 2): 1}, {(0,): 1}, {0: 1}):
+        with pytest.raises(ValidationError):
+            LieElement(2, 2, terms)
     with pytest.raises(ValidationError):
-        TensorElement(2, 1, (0,))
+        tensor_from_components(2, 1, {5: LieElement(2, 2, {})})
     with pytest.raises(ValidationError):
-        tensor_from_components(2, 1, {5: LieElement.zero(2, 2)})
-    with pytest.raises(ValidationError):
-        tensor_from_components(2, 1, {0: LieElement.zero(2, 3)})
+        tensor_from_components(2, 1, {0: LieElement(2, 3, {})})
 
 
 def test_embed_tensor_commutes_with_contraction():
@@ -227,8 +241,50 @@ def test_json_roundtrip():
     basis = dk_basis(3, 2)
     for elem in basis[:3]:
         assert tensor_from_json(tensor_to_json(elem)) == elem
-    with pytest.raises(ValidationError):
-        tensor_from_json({"n": 2})
+    for payload in (
+        {"n": 2},
+        {"n": "x", "k": 1, "coords": []},
+        {"n": 2, "k": 1, "coords": ["a"]},
+        {"n": 2, "k": 1, "coords": "12"},
+        {"n": 2, "k": 1, "coords": [1]},
+        {"n": 2, "k": 0, "coords": [1, 2, 3, 4]},
+        None,
+    ):
+        with pytest.raises(ValidationError):
+            tensor_from_json(payload)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two random Lie elements, or two random tensor elements, of one shape."""
+    make = draw(st.sampled_from((LieElement, TensorElement)))
+    n = draw(st.integers(1, 4))
+    grade = draw(st.integers(1, 3))
+    if make is LieElement:
+        keys = hall_basis(n, grade).words
+    else:
+        keys = [(a, u) for a in range(n) for u in hall_basis(n, grade + 1).words]
+    if not keys:
+        return make(n, grade, {}), make(n, grade, {})
+    terms = st.dictionaries(st.sampled_from(keys), st.integers(-3, 3).filter(bool), max_size=8)
+    return make(n, grade, draw(terms)), make(n, grade, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pairs())
+def test_sparse_elements_arithmetic_json_and_dense_view(pair):
+    u, v = pair
+    back = u + v - v
+    assert back == u and hash(back) == hash(u) and repr(back) == repr(u)
+    reordered = type(u)(*u._shape(), dict(reversed(list(u.terms.items()))))
+    assert reordered == u and hash(reordered) == hash(u) and repr(reordered) == repr(u)
+    assert (u - u).is_zero and u.scale(0).is_zero
+    for w in (u + v, u - v, -u, u.scale(2), u - u, u.scale(0)):
+        assert 0 not in w.terms.values()
+    assert u.coords == dense_coords(u)
+    if isinstance(u, TensorElement):
+        assert tensor_from_json(tensor_to_json(u)) == u
+        assert tensor_from_coords(u.n, u.level, u.coords) == u
 
 
 def test_rank_rejects_bad_input():

@@ -569,8 +569,8 @@ def test_selftest_checks_survive_optimized_mode():
 
 
 def test_failed_invariant_exits_4_without_traceback(capsys, monkeypatch):
-    def broken(n, level, coords):
-        return {(0,) * (level + 1) + (1,): 1}
+    def broken(terms):
+        return {(0, 0, 1): 1}
 
     # ``dk_basis`` checks each kernel vector through the sparse contraction.
     monkeypatch.setattr(jfilt.brackets, "_contract", broken)

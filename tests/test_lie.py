@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import jfilt.lie
 from jfilt.errors import InvariantError, PreconditionError, ValidationError
 from jfilt.lie import (
-    LieElement,
     basis_expansion,
     embed_lie,
     generator_element,
@@ -33,7 +32,7 @@ from jfilt.lie import (
 from jfilt.words import Alphabet, GroupWord, commutator, generator
 
 import tensor_reference
-from tensor_reference import lie_to_tensor
+from tensor_reference import lie_from_coords, lie_to_tensor
 
 Y2 = Alphabet(2, "y")
 Y3 = Alphabet(3, "y")
@@ -117,7 +116,7 @@ def test_nested_bracket_hits_basis_vector():
 
 def small_lie(n, degree):
     dim = witt_dimension(n, degree)
-    return st.tuples(*([st.integers(-2, 2)] * dim)).map(lambda t: LieElement(n, degree, t))
+    return st.tuples(*([st.integers(-2, 2)] * dim)).map(lambda t: lie_from_coords(n, degree, t))
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,7 +140,7 @@ def test_self_bracket_vanishes():
     rng = random.Random(1)
     for _ in range(10):
         coords = tuple(rng.randrange(-3, 4) for _ in range(witt_dimension(3, 2)))
-        u = LieElement(3, 2, coords)
+        u = lie_from_coords(3, 2, coords)
         assert lie_bracket(u, u).is_zero
 
 
@@ -162,7 +161,7 @@ def _dense_tensor_to_lyndon(tensor, n, degree):
                     del work[m]
     if work:
         raise ValidationError("tensor is not a Lie element")
-    return LieElement(n, degree, tuple(coords))
+    return lie_from_coords(n, degree, coords)
 
 
 def _add_into(out, tensor, scale=1):
@@ -173,9 +172,9 @@ def _add_into(out, tensor, scale=1):
 
 @st.composite
 def lie_combinations(draw, min_n=1, min_degree=1):
-    """(n, degree, tensor, coords): a random integer combination of basis
-    expansions at n <= 4 and degree <= 6, with the sparse coordinates it was
-    built from."""
+    """(n, degree, tensor, terms): a random integer combination of basis
+    expansions at n <= 4 and degree <= 6, with the Lyndon words and nonzero
+    coefficients it was built from."""
     n = draw(st.integers(min_n, 4))
     # One letter spans nothing above degree one.
     degree = draw(st.integers(min_degree, 6 if n > 1 else 1))
@@ -186,7 +185,7 @@ def lie_combinations(draw, min_n=1, min_degree=1):
     tensor = {}
     for i, c in picks.items():
         _add_into(tensor, basis_expansion(words[i]), c)
-    return n, degree, tensor, {i: c for i, c in picks.items() if c}
+    return n, degree, tensor, {words[i]: c for i, c in picks.items() if c}
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,7 +282,7 @@ def test_lift_lie_element_round_trip():
         ab = Alphabet(n, "y")
         for _ in range(5):
             coords = tuple(rng.randrange(-2, 3) for _ in range(witt_dimension(n, k)))
-            elem = LieElement(n, k, coords)
+            elem = lie_from_coords(n, k, coords)
             assert graded_class(lift_lie_element(elem, ab), k) == elem
 
 
@@ -316,7 +315,7 @@ def test_dynkin_projector_scales_lie_elements():
     rng = random.Random(5)
     for n, k in ((2, 3), (3, 2), (2, 4)):
         coords = tuple(rng.randrange(-2, 3) for _ in range(witt_dimension(n, k)))
-        elem = LieElement(n, k, coords)
+        elem = lie_from_coords(n, k, coords)
         tensor = lie_to_tensor(elem)
         image = _dynkin_image(tensor)
         scaled = {m: k * c for m, c in tensor.items() if c}
@@ -364,7 +363,7 @@ def test_lyndon_bracket_is_antisymmetric():
 
 
 def _seeded_lie(rng, n, degree):
-    return LieElement(n, degree, tuple(rng.randint(-2, 2) for _ in range(witt_dimension(n, degree))))
+    return lie_from_coords(n, degree, [rng.randint(-2, 2) for _ in range(witt_dimension(n, degree))])
 
 
 def test_bracket_words_satisfies_jacobi_on_seeded_elements():
@@ -372,7 +371,7 @@ def test_bracket_words_satisfies_jacobi_on_seeded_elements():
     for _ in range(40):
         n = rng.randint(2, 4)
         da, db, dc = (rng.randint(1, 2) for _ in range(3))
-        a, b, c = (_seeded_lie(rng, n, d).words() for d in (da, db, dc))
+        a, b, c = (_seeded_lie(rng, n, d).terms for d in (da, db, dc))
         total = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             bracket_words(x, bracket_words(y, z), total)

@@ -8,7 +8,7 @@ import pytest
 
 from jfilt.brackets import bracket_map, dk_basis
 from jfilt.errors import InvariantError, PreconditionError, ValidationError
-from jfilt.lie import LieElement, generator_element, hall_basis, lie_bracket
+from jfilt.lie import generator_element, hall_basis, lie_bracket
 from jfilt.snf import smith_normal_form
 from jfilt.trees import (
     MAX_TREE_TERMS,
@@ -30,6 +30,7 @@ from jfilt.trees import (
 )
 
 import tensor_reference
+from tensor_reference import lie_from_coords
 
 
 def internal_trees(k):
@@ -125,7 +126,7 @@ def test_rooted_bracket_calibration_tree():
     words = hall_basis(4, 3).words
     expected = [0] * len(words)
     expected[words.index((2, 2, 3))] = -1
-    assert value == LieElement(4, 3, tuple(expected))
+    assert value == lie_from_coords(4, 3, expected)
 
 
 def test_rooted_bracket_rejects_bad_input():
