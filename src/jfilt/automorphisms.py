@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import TensorElement, bracket_map, dk_basis, tensor_from_components
+from .brackets import TensorElement, bracket_map, dk_basis, dk_rank, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError
-from .lie import LieElement, tensor_to_lyndon
+from .lie import LieElement, hall_basis, lift_lie_element, tensor_to_lyndon
 from .snf import Matrix, identity_matrix, invariant_factors, matmul, smith_normal_form, transpose
 from .words import (
     FULL,
@@ -54,8 +54,9 @@ class NilAut:
     """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g.
 
     Queries read the Magnus series M(h(z_i)) below degree q, filled once
-    when first needed: from the image words, or from the operands' series
-    for a composition or a level reduction.  The words serve I/O."""
+    when first needed.  It has two sources: a composition substitutes its
+    operands' series, and every other automorphism, a level reduction
+    included, expands its own image words.  The words serve I/O."""
 
     def __init__(self, alphabet: Alphabet, level: int, images: Sequence[GroupWord]):
         if alphabet.kind != FULL:
@@ -74,7 +75,7 @@ class NilAut:
         self._hold(alphabet, int(level), images, matrix, None)
 
     def _hold(self, alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...],
-              matrix: Matrix, fill) -> "NilAut":
+              matrix: Matrix, operands) -> "NilAut":
         self.alphabet = alphabet
         self.level = level
         self.images = images
@@ -83,9 +84,9 @@ class NilAut:
         # have already established the answer by an exactly equivalent test.
         self._aut0_known: Optional[bool] = None
         self._series: Optional[Tuple[TruncatedSeries, ...]] = None
-        # (function, operands): the series is function(*operand series,
-        # level); None expands the images.
-        self._fill = fill
+        # (inner, outer) of a composition, whose series is inner's with outer's
+        # substituted; None expands the images.
+        self._fill = operands
         return self
 
     @property
@@ -109,12 +110,12 @@ class NilAut:
         while stack:
             h = stack[-1]
             if h._series is None and h._fill is not None:
-                function, operands = h._fill
-                empty = [u for u in operands if u._series is None]
+                empty = [u for u in h._fill if u._series is None]
                 if empty:
                     stack.extend(empty)
                     continue
-                h._series, h._fill = function(*(u._series for u in operands), h.level), None
+                inner, outer = h._fill
+                h._series, h._fill = substitute_series(inner._series, outer._series, h.level), None
             elif h._series is None:
                 h._series = tuple(magnus_expand(w, h.level) for w in h.images)
             stack.pop()
@@ -149,20 +150,19 @@ class NilAut:
 
 
 def _built(alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...], matrix: Matrix,
-           fill=None) -> NilAut:
-    """An automorphism made from checked ones (a composition, truncation or
+           operands: Optional[Tuple[NilAut, NilAut]] = None) -> NilAut:
+    """An automorphism made from checked ones (a composition, level reduction or
     inverse), whose abelianization ``matrix`` is unimodular by construction,
     so it is not checked again.  The level is: ``reduce_level`` and
     ``identity_aut`` take it from their caller."""
     if level < 2:
         raise ValidationError("level must be at least 2")
-    return object.__new__(NilAut)._hold(alphabet, level, images, matrix, fill)
+    return object.__new__(NilAut)._hold(alphabet, level, images, matrix, operands)
 
 
 def identity_aut(g: int, q: int) -> NilAut:
     ab = Alphabet(g, FULL)
     h = _built(ab, q, tuple(generator(ab, i) for i in range(ab.size)), identity_matrix(ab.size))
-    h._series = tuple(TruncatedSeries(ab, q, {(): 1, (i,): 1}) for i in range(ab.size))
     h._aut0_known = True
     return h
 
@@ -183,7 +183,7 @@ def compose(h1: NilAut, h2: NilAut) -> NilAut:
         raise ValidationError("level mismatch")
     out = _built(
         h1.alphabet, h1.level, tuple(h1.apply(w) for w in h2.images),
-        matmul(h2._abelianization, h1._abelianization), (substitute_series, (h2, h1)),
+        matmul(h2._abelianization, h1._abelianization), (h2, h1),
     )
     if h1._aut0_known is True and h2._aut0_known is True:
         # The boundary stabilizer is closed under composition.
@@ -191,14 +191,12 @@ def compose(h1: NilAut, h2: NilAut) -> NilAut:
     return out
 
 
-def _truncated(series, level: int) -> Tuple[TruncatedSeries, ...]:
-    return tuple(TruncatedSeries(s.alphabet, level, s.terms) for s in series)
-
-
 def reduce_level(h: NilAut, q: int) -> NilAut:
+    """``h`` at the lower level ``q``.  Like any automorphism that is not a
+    composition, it expands its own words, here at ``q``, when first asked."""
     if q > h.level:
         raise ValidationError("cannot raise the level")
-    out = _built(h.alphabet, q, h.images, h._abelianization, (_truncated, (h,)))
+    out = _built(h.alphabet, q, h.images, h._abelianization)
     if h._aut0_known is True:
         # Stabilizing the boundary class mod F_{level+1} implies the same
         # one level down: truncation of an equality stays an equality.
@@ -218,27 +216,18 @@ def invert_aut(h: NilAut) -> NilAut:
     ab = h.alphabet
     dec = smith_normal_form(h._abelianization)
     inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
-    images = []
-    for i in range(ab.size):
-        letters = []
-        for j, e in enumerate(inverse_matrix[i]):
-            if e:
-                letters.append((j, e))
-        images.append(GroupWord(ab, tuple(letters)))
-    g = _built(ab, h.level, tuple(images), inverse_matrix)
+    starts = tuple(GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e))
+                   for row in inverse_matrix)
+    g = _built(ab, h.level, starts, inverse_matrix)
     ident = identity_aut(h.genus, h.level)
     for _ in range(h.level):
         err = compose(h, g)
         if err == ident:
             break
-        corr_images = []
-        for i in range(ab.size):
-            z = generator(ab, i)
-            w_z = z.inverse() * err.images[i]
-            corr_images.append(z * w_z.inverse())
-        # err is the identity on homology (A(h o g) = A^-1 A), so the
-        # correction is too.
-        g = compose(g, _built(ab, h.level, tuple(corr_images), identity_matrix(ab.size)))
+        # z * w_z^-1 with w_z = z^-1 err(z).  err is the identity on homology
+        # (A(h o g) = A^-1 A), so the correction is too.
+        corr_images = tuple(z * w.inverse() * z for z, w in zip(ident.images, err.images))
+        g = compose(g, _built(ab, h.level, corr_images, identity_matrix(ab.size)))
     else:
         raise InvariantError("inverse iteration failed to converge")
     if h._aut0_known is True:
@@ -420,6 +409,21 @@ def milnor_compose(a: LongitudeTuple, b: LongitudeTuple) -> LongitudeTuple:
     return LongitudeTuple(a.genus, a.level, a.kind, entries)
 
 
+def _checked_entries(t: LongitudeTuple, q: Optional[int], kind: str,
+                     wrong_kind: str) -> Tuple[int, Alphabet, List[GroupWord]]:
+    """What ``phi_hat`` and ``psi_hat`` check first: the tuple's kind, then
+    the product condition at the output level ``q`` (the tuple's level by
+    default).  Returns that level, the full alphabet and the entries
+    embedded in it."""
+    if t.kind != kind:
+        raise ValidationError(wrong_kind)
+    q = t.level if q is None else q
+    if not validate_tuple(t, q):
+        raise ValidationError("tuple fails the product condition at level %d" % q)
+    full = Alphabet(t.genus, FULL)
+    return q, full, [embed_word(w, full) for w in t.entries]
+
+
 def phi_hat(t: LongitudeTuple, q: Optional[int] = None) -> NilAut:
     """x-pushing automorphism of a y-kind tuple:
     ``x_i -> x_i lambda_i``, ``y_i -> lambda_i^-1 y_i lambda_i``.
@@ -428,19 +432,10 @@ def phi_hat(t: LongitudeTuple, q: Optional[int] = None) -> NilAut:
     check is then equivalent (the phi-image fixes each ``x_i y_i x_i^-1``
     exactly, so only the ``(y_1...y_g)^-1`` head moves), and is recorded.
     """
-    if t.kind != Y_ONLY:
-        raise ValidationError("phi_hat needs a y-kind tuple")
-    q = t.level if q is None else q
-    if not validate_tuple(t, q):
-        raise ValidationError("tuple fails the product condition at level %d" % q)
+    q, full, lams = _checked_entries(t, q, Y_ONLY, "phi_hat needs a y-kind tuple")
     g = t.genus
-    full = Alphabet(g, FULL)
-    lams = [embed_word(w, full) for w in t.entries]
-    images = []
-    for i in range(g):
-        images.append(generator(full, i) * lams[i])
-    for i in range(g):
-        images.append(lams[i].inverse() * generator(full, g + i) * lams[i])
+    images = [generator(full, i) * lams[i] for i in range(g)]
+    images += [lams[i].inverse() * generator(full, g + i) * lams[i] for i in range(g)]
     h = NilAut(full, q, images)
     # The boundary-word condition is *exactly* the product condition already
     # verified: the phi-image fixes each x_i y_i x_i^-1 by free reduction, so
@@ -461,19 +456,10 @@ def psi_hat(t: LongitudeTuple, q: Optional[int] = None) -> NilAut:
     Unlike ``phi_hat``, the result does NOT fix the boundary word beyond
     level 2 in general, so no boundary-word assertion is made here.
     """
-    if t.kind != X_ONLY:
-        raise ValidationError("psi_hat needs an x-kind tuple")
-    q = t.level if q is None else q
-    if not validate_tuple(t, q):
-        raise ValidationError("tuple fails the product condition at level %d" % q)
+    q, full, mus = _checked_entries(t, q, X_ONLY, "psi_hat needs an x-kind tuple")
     g = t.genus
-    full = Alphabet(g, FULL)
-    mus = [embed_word(w, full) for w in t.entries]
-    images = []
-    for i in range(g):
-        images.append(mus[i].inverse() * generator(full, i) * mus[i])
-    for i in range(g):
-        images.append(mus[i] * generator(full, g + i))
+    images = [mus[i].inverse() * generator(full, i) * mus[i] for i in range(g)]
+    images += [mus[i] * generator(full, g + i) for i in range(g)]
     h = NilAut(full, q, images)
     _, symplectic_ok = symplectic_matrix(h)
     if not symplectic_ok:
@@ -588,8 +574,6 @@ def kernel_lift_tuple(
     image of ``sum_i z_i (x) [entry_i]`` under the bracket contraction, which
     vanishes by construction.
     """
-    from .lie import lift_lie_element
-
     basis = _kernel_basis(g, k)
     if len(coefficients) != len(basis):
         raise ValidationError("need one coefficient per kernel basis element")
@@ -606,9 +590,6 @@ def random_kernel_tuple(rng, g: int, k: int, kind: str = Y_ONLY, noise: bool = T
     """Seeded random valid tuple with entries in weight ``k+1``, optionally
     multiplied by weight-``k+2`` commutator noise (which changes neither the
     validity level nor the degree-``k+1`` classes)."""
-    from .brackets import dk_rank
-    from .lie import hall_basis, lift_lie_element
-
     coeffs = [rng.randint(-2, 2) for _ in range(dk_rank(g, k))]
     t = kernel_lift_tuple(g, k, coeffs, kind)
     if not noise:

@@ -36,7 +36,6 @@ from .lie import (
     Words,
     _basis_index,
     _terms_index,
-    embed_lie,
     hall_basis,
     lie_map,
     lyndon_bracket,
@@ -211,9 +210,12 @@ def a1_dimensions(g: int) -> Tuple[int, int]:
 
 
 def embed_tensor(t: TensorElement, n_target: int, shift: int) -> TensorElement:
-    """Push a tensor element along the inclusion ``e_a -> e_(a+shift)``."""
-    parts = {a + shift: embed_lie(t.component(a), n_target, shift) for a in range(t.n)}
-    return tensor_from_components(n_target, t.level, parts)
+    """Push a tensor element along the inclusion ``e_a -> e_(a+shift)``.
+    Adding a constant to every letter maps Lyndon words to Lyndon words."""
+    if shift < 0 or t.n + shift > n_target:
+        raise ValidationError("embedding does not fit in the target rank")
+    terms = {(a + shift, tuple(x + shift for x in u)): c for (a, u), c in t.terms.items()}
+    return TensorElement(n_target, t.level, terms)
 
 
 def map_tensor_first(matrix: Sequence[Sequence[int]], t: TensorElement) -> TensorElement:

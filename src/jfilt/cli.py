@@ -219,7 +219,11 @@ def _cmd_tree(args) -> None:
     else:
         if len(args.args) != 2:
             raise ValidationError("tree span takes n and k")
-        n, k = int(args.args[0]), _check_degree(int(args.args[1]), "k")
+        try:
+            n, k = int(args.args[0]), int(args.args[1])
+        except ValueError:
+            raise ValidationError("tree span takes integers n and k")
+        _check_degree(k, "k")
         span, kernel = span_check(n, k)
         _emit(
             {"n": n, "k": k, "span_rank": span, "kernel_rank": kernel, "equal": span == kernel},

@@ -66,18 +66,12 @@ def lagrangian_degree(h: NilAut) -> int:
     return min((len(m) for t in terms for m in t if m), default=h.level) - 1
 
 
-def _y_block(h: NilAut) -> Matrix:
-    """Rows ``m``: exponent vector of the y-part of ``h(y_m)``."""
-    g = h.genus
-    ab = h.abelianization()
-    return [row[g:] for row in ab[g:]]
-
-
-def _x_block(h: NilAut) -> Matrix:
-    """Rows ``i``: exponent vector of the x-part of ``h(x_i)``."""
-    g = h.genus
-    ab = h.abelianization()
-    return [row[:g] for row in ab[:g]]
+def _block(h: NilAut, side: slice) -> Matrix:
+    """The abelianization on one side, rows and columns: for the x-side
+    ``slice(0, g)``, row ``i`` is the exponent vector of the x-part of
+    ``h(x_i)``; for the y-side ``slice(g, 2g)``, that of the y-part of
+    ``h(y_i)``."""
+    return [row[side] for row in h.abelianization()[side]]
 
 
 def jl_element(h: NilAut, k: int) -> LagrangianReport:
@@ -101,7 +95,7 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
         top = {m: c for m, c in terms.items() if len(m) == k + 1}
         classes[i] = tensor_to_lyndon(top, g, k + 1)
     value = tensor_from_components(g, k, classes)
-    in_hat = _y_block(h) == identity_matrix(g)
+    in_hat = _block(h, slice(g, 2 * g)) == identity_matrix(g)
     if in_hat and h._aut0_known is True:
         # Kernel membership is a theorem for boundary-fixing elements with
         # trivial induced action; it can genuinely fail without the boundary
@@ -126,8 +120,9 @@ def cocycle_check(h1: NilAut, h2: NilAut, k: int) -> bool:
     j1 = jl_element(h1, k).value
     j2 = jl_element(h2, k).value
     j12 = jl_element(compose(h1, h2), k).value
-    predicted = map_tensor_first(transpose(_x_block(h2)), j1) + map_tensor_second(
-        _y_block(h1), j2
+    g = h1.genus
+    predicted = map_tensor_first(transpose(_block(h2, slice(0, g))), j1) + map_tensor_second(
+        _block(h1, slice(g, 2 * g)), j2
     )
     return j12 == predicted
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InvariantError, PreconditionError, ValidationError
 from .words import Alphabet, GroupWord, magnus_expand
@@ -119,11 +119,9 @@ def lyndon_bracket(u: Monomial, v: Monomial) -> Tuple[Tuple[Monomial, int], ...]
     return tuple(sorted((w, c) for w, c in out.items() if c))
 
 
-def bracket_words(x: Words, y: Words, out: Optional[Words] = None) -> Words:
-    """``[x, y]`` for dicts from Lyndon word to coefficient, added into
-    ``out`` in place when it is given."""
-    if out is None:
-        out = {}
+def bracket_words(x: Words, y: Words) -> Words:
+    """``[x, y]`` for dicts from Lyndon word to coefficient."""
+    out: Words = {}
     for u, cu in x.items():
         for v, cv in y.items():
             c = cu * cv
@@ -136,11 +134,9 @@ def bracket_words(x: Words, y: Words, out: Optional[Words] = None) -> Words:
     return out
 
 
-def tensor_bracket(left: Tensor, right: Tensor, out: Optional[Tensor] = None) -> Tensor:
-    """``left*right - right*left`` in the tensor algebra, added into ``out``
-    in place when it is given."""
-    if out is None:
-        out = {}
+def tensor_bracket(left: Tensor, right: Tensor) -> Tensor:
+    """``left*right - right*left`` in the tensor algebra."""
+    out: Tensor = {}
     for mu, cu in left.items():
         for mv, cv in right.items():
             c = cu * cv
@@ -360,15 +356,6 @@ def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:
         for x, d in image(w).items():
             out[x] = out.get(x, 0) + c * d
     return LieElement(n_target, elem.degree, {x: c for x, c in out.items() if c})
-
-
-def embed_lie(elem: LieElement, n_target: int, shift: int) -> LieElement:
-    """Reindex generators through i -> i + shift.  Order-preserving, so basis
-    words map to basis words."""
-    if shift < 0 or elem.n + shift > n_target:
-        raise ValidationError("embedding does not fit in the target rank")
-    terms = {tuple(letter + shift for letter in w): c for w, c in elem.terms.items()}
-    return LieElement(n_target, elem.degree, terms)
 
 
 def group_bracketing(w: Monomial, alphabet: Alphabet) -> GroupWord:

@@ -133,6 +133,8 @@ def clasper_from_json(data: dict) -> ClasperGraph:
         vertices = {v["id"]: _ARITY_NAMES.get(v["arity"], v["arity"]) for v in data["vertices"]}
         edges = [(a, b) for a, b in data["edges"]]
         labels = data.get("labels", {})
+        if not isinstance(labels, dict):
+            raise ValidationError("bad graph payload: labels must be an object")
         cyclic = data.get("cyclic")
         if "n" in data:
             n = int(data["n"])

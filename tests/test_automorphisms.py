@@ -289,6 +289,32 @@ def test_reduce_level_commutes_with_compose():
         reduce_level(a, 5)  # can only go down
 
 
+def test_reduce_level_expands_its_own_words_at_the_lower_level(monkeypatch):
+    f = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    h = aut_from_json(aut_to_json(compose(f, f)))  # built from words, level 4
+    ab, q = h.alphabet, 3
+    calls = []
+    original = jfilt.automorphisms.magnus_expand
+
+    def recording(w, cutoff):
+        calls.append((w, cutoff))
+        return original(w, cutoff)
+
+    monkeypatch.setattr(jfilt.automorphisms, "magnus_expand", recording)
+    reduced = reduce_level(h, q)
+    degree = filtration_degree(reduced)
+    assert calls == [(w, q) for w in h.images]
+    del calls[:]
+    reduced = reduce_level(h, q)
+    lagrangian = lagrangian_degree(reduced), jl_element(reduced, 1)
+    projected = [project_y(w) for w in h.images[:ab.genus]]
+    assert calls == [(w, q) for w in projected] * 2
+    plain = NilAut(ab, q, h.images)
+    assert degree == filtration_degree(plain)
+    assert lagrangian == (lagrangian_degree(plain), jl_element(plain, 1))
+    assert reduced == plain
+
+
 def test_filtration_degree_consistency_under_reduction():
     t = kernel_lift_tuple(3, 2, [1, 0, -1, 0, 0, 1])
     h = phi_hat(t)

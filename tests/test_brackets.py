@@ -28,6 +28,7 @@ from jfilt.lie import (
     generator_element,
     hall_basis,
     lie_bracket,
+    lie_map,
     tensor_bracket,
     tensor_to_lyndon,
     witt_dimension,
@@ -121,8 +122,9 @@ def test_bracket_map_matches_the_validating_read_back(n, k, seed):
     t = tensor_from_coords(n, k, coords)
     tensor = {}
     for a in range(n):
-        part = t.component(a)
-        tensor_bracket({(a,): 1}, lie_to_tensor(part), tensor)
+        for m, c in tensor_bracket({(a,): 1}, lie_to_tensor(t.component(a))).items():
+            tensor[m] = tensor.get(m, 0) + c
+    tensor = {m: c for m, c in tensor.items() if c}
     assert bracket_map(t) == tensor_to_lyndon(tensor, n, k + 2)
 
 
@@ -190,13 +192,14 @@ def test_arithmetic_and_validation():
 def test_embed_tensor_commutes_with_contraction():
     # embedding generators into a larger rank then contracting agrees with
     # contracting first and embedding the result
-    from jfilt.lie import embed_lie
-
     n, k, n_target, shift = 2, 1, 4, 2
     u = lie_bracket(generator_element(n, 0), generator_element(n, 1))
     t = tensor_from_components(n, k, {1: u})
     big = embed_tensor(t, n_target, shift)
-    assert embed_lie(bracket_map(t), n_target, shift) == bracket_map(big)
+    inclusion = [[int(i == j + shift) for j in range(n)] for i in range(n_target)]
+    assert lie_map(inclusion, bracket_map(t), n_target) == bracket_map(big)
+    with pytest.raises(ValidationError, match="does not fit"):
+        embed_tensor(t, n_target, n_target - 1)
 
 
 def test_embed_tensor_of_kernel_stays_in_kernel():

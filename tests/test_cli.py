@@ -399,6 +399,17 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "aut", "invert", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read" in err
+    for n, k in (("2", "abc"), ("x", "2"), ("2", "1e3")):
+        code, _, err = invoke(capsys, "tree", "span", n, k)
+        assert code == 2, (n, k, err)
+        assert "tree span takes integers" in err
+    # Graph files whose labels are not an object.
+    for labels in (1, "a", [], None, True):
+        path = write_json(tmp_path, "labels.json", dict(theta_payload(), labels=labels))
+        for command in (("tree", "image"), ("graph", "orient"), ("graph", "count")):
+            code, _, err = invoke(capsys, *command, path)
+            assert code == 2, (labels, command, err)
+            assert "labels must be an object" in err
 
 
 # Pieces of word strings, most of them malformed on their own.

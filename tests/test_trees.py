@@ -357,3 +357,7 @@ def test_json_bad_payload():
         clasper_from_json({"vertices": "nope"})
     with pytest.raises(ValidationError):
         clasper_from_json({"vertices": [{"id": "a", "arity": "trivalent"}], "edges": [["a0", "a.1"]]})
+    for labels in (1, "a", [], None, True):
+        with pytest.raises(ValidationError, match="labels must be an object"):
+            clasper_from_json({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [],
+                               "labels": labels})
