@@ -54,9 +54,10 @@ class NilAut:
     """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g.
 
     Queries read the Magnus series M(h(z_i)) below degree q, filled once
-    when first needed.  It has two sources: a composition substitutes its
-    operands' series, and every other automorphism, a level reduction
-    included, expands its own image words.  The words serve I/O."""
+    when first needed.  A composition substitutes its operands' series, an
+    inverse's corrections are given theirs, and every other automorphism,
+    a level reduction included, expands its own image words.  The words
+    serve I/O: a composition builds them only when ``images`` is read."""
 
     def __init__(self, alphabet: Alphabet, level: int, images: Sequence[GroupWord]):
         if alphabet.kind != FULL:
@@ -74,18 +75,19 @@ class NilAut:
             raise ValidationError("abelianization is not invertible over the integers")
         self._hold(alphabet, int(level), images, matrix, None)
 
-    def _hold(self, alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...],
+    def _hold(self, alphabet: Alphabet, level: int, images: Optional[Tuple[GroupWord, ...]],
               matrix: Matrix, operands) -> "NilAut":
         self.alphabet = alphabet
         self.level = level
-        self.images = images
+        self._images = images
         self._abelianization = matrix
         # Memo for check_aut0 at this level; populated by constructions that
         # have already established the answer by an exactly equivalent test.
         self._aut0_known: Optional[bool] = None
         self._series: Optional[Tuple[TruncatedSeries, ...]] = None
-        # (inner, outer) of a composition, whose series is inner's with outer's
-        # substituted; None expands the images.
+        # (inner, outer) of a composition, whose words are outer's applied to
+        # inner's and whose series is inner's with outer's substituted; None
+        # for one built from words.  Dropped once both are held.
         self._fill = operands
         return self
 
@@ -102,39 +104,54 @@ class NilAut:
             raise ValidationError("word over the wrong alphabet")
         return substitute(w, self.images)
 
-    def series(self) -> Tuple[TruncatedSeries, ...]:
-        """M(h(z_i)) below degree ``level``, one per generator.  Operands are
-        filled first, from an explicit stack, so a long chain of compositions
-        does not recurse."""
+    def _walk(self, attr: str, combine):
+        """Fill ``attr`` (``_images`` or ``_series``) as ``combine(inner,
+        outer)``, operands first, from an explicit stack, so a long chain of
+        compositions does not recurse.  A missing series outside a
+        composition expands the words."""
         stack = [self]
         while stack:
             h = stack[-1]
-            if h._series is None and h._fill is not None:
-                empty = [u for u in h._fill if u._series is None]
+            if getattr(h, attr) is None and h._fill is not None:
+                empty = [u for u in h._fill if getattr(u, attr) is None]
                 if empty:
                     stack.extend(empty)
                     continue
-                inner, outer = h._fill
-                h._series, h._fill = substitute_series(inner._series, outer._series, h.level), None
-            elif h._series is None:
-                h._series = tuple(magnus_expand(w, h.level) for w in h.images)
+                setattr(h, attr, combine(*h._fill))
+                if h._images is not None and h._series is not None:
+                    h._fill = None
+            elif getattr(h, attr) is None:
+                h._series = tuple(magnus_expand(w, h.level) for w in h._images)
             stack.pop()
-        return self._series
+        return getattr(self, attr)
+
+    @property
+    def images(self) -> Tuple[GroupWord, ...]:
+        """The generator images as words.  A composition's are built on the
+        first read, each capped at MAX_WORD_LETTERS as it is built."""
+        return self._walk("_images", lambda inner, outer: tuple(
+            substitute(w, outer._images) for w in inner._images))
+
+    def series(self) -> Tuple[TruncatedSeries, ...]:
+        """M(h(z_i)) below degree ``level``, one per generator."""
+        return self._walk("_series", lambda inner, outer: substitute_series(
+            inner._series, outer._series, inner.level))
 
     def projected_series(self, cutoff: int) -> List[Dict[Tuple[int, ...], int]]:
         """The terms of M(project_y(h(x_i))) below ``cutoff`` for i < g, over
-        the y-alphabet: the held series with every X-variable killed, since
-        the projection is the homomorphism that sends each x_i to 1.  An
-        automorphism built from words that holds no series yet expands its
-        projected words instead, which are shorter than its images."""
+        the y-alphabet.  One built from words with no series yet expands its
+        projected words; otherwise this is pi of the series, pi killing every
+        X-variable.  As pi is a ring homomorphism, pi(T(S)) = T(pi S) for a
+        substitution T, so a composition with no series yet substitutes pi of
+        its outer operand's series into its inner's x-series instead."""
         g = self.genus
         if self._series is None and self._fill is None:
-            return [magnus_expand(project_y(self.images[i]), cutoff).terms for i in range(g)]
-        return [
-            {tuple([j - g for j in m]): c for m, c in s.terms.items()
-             if len(m) < cutoff and (not m or min(m) >= g)}
-            for s in self.series()[:g]
-        ]
+            return [magnus_expand(project_y(w), cutoff).terms for w in self._images[:g]]
+        if self._series is None:
+            inner, outer = self._fill
+            xs = [TruncatedSeries(self.alphabet, cutoff, s.terms) for s in inner.series()[:g]]
+            return [s.terms for s in substitute_series(xs, _killed(outer.series(), cutoff), cutoff)]
+        return [s.terms for s in _killed(self.series()[:g], cutoff)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NilAut):
@@ -149,7 +166,16 @@ class NilAut:
         return "NilAut(g=%d, q=%d)" % (self.genus, self.level)
 
 
-def _built(alphabet: Alphabet, level: int, images: Tuple[GroupWord, ...], matrix: Matrix,
+def _killed(series: Sequence[TruncatedSeries], cutoff: int) -> List[TruncatedSeries]:
+    """pi of each full-alphabet series below ``cutoff``, over the y-alphabet,
+    pi killing every X-variable."""
+    g = series[0].alphabet.genus
+    ya = Alphabet(g, Y_ONLY)
+    return [TruncatedSeries(ya, cutoff, {tuple([j - g for j in m]): c for m, c in s.terms.items()
+                                         if not m or min(m) >= g}) for s in series]
+
+
+def _built(alphabet: Alphabet, level: int, images: Optional[Tuple[GroupWord, ...]], matrix: Matrix,
            operands: Optional[Tuple[NilAut, NilAut]] = None) -> NilAut:
     """An automorphism made from checked ones (a composition, level reduction or
     inverse), whose abelianization ``matrix`` is unimodular by construction,
@@ -175,16 +201,14 @@ def is_identity(h: NilAut) -> bool:
 
 def compose(h1: NilAut, h2: NilAut) -> NilAut:
     """``z -> h1(h2(z))``: h1 applies last, an order every formula
-    downstream assumes.  Its series is h2's with Z_j replaced by
-    M(h1(z_j)) - 1, so the product's words are never expanded."""
+    downstream assumes.  It records its operands and builds no words: its
+    series is h2's with Z_j replaced by M(h1(z_j)) - 1, and its words, built
+    when ``images`` is first read, are h1 applied to h2's."""
     if h1.alphabet != h2.alphabet:
         raise ValidationError("alphabet mismatch")
     if h1.level != h2.level:
         raise ValidationError("level mismatch")
-    out = _built(
-        h1.alphabet, h1.level, tuple(h1.apply(w) for w in h2.images),
-        matmul(h2._abelianization, h1._abelianization), (h2, h1),
-    )
+    out = _built(h1.alphabet, h1.level, None, matmul(h2._abelianization, h1._abelianization), (h2, h1))
     if h1._aut0_known is True and h2._aut0_known is True:
         # The boundary stabilizer is closed under composition.
         out._aut0_known = True
@@ -213,21 +237,27 @@ def invert_aut(h: NilAut) -> NilAut:
     because corrections supported in weight >= m move words only by
     weight >= m+1 terms.  At most ``level`` rounds are needed.
     """
-    ab = h.alphabet
+    ab, q = h.alphabet, h.level
     dec = smith_normal_form(h._abelianization)
     inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
     starts = tuple(GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e))
                    for row in inverse_matrix)
-    g = _built(ab, h.level, starts, inverse_matrix)
-    ident = identity_aut(h.genus, h.level)
-    for _ in range(h.level):
+    g = _built(ab, q, starts, inverse_matrix)
+    ident = identity_aut(h.genus, q)
+    inverses = [magnus_expand(z.inverse(), q) for z in ident.images]
+    for _ in range(q):
         err = compose(h, g)
         if err == ident:
             break
         # z * w_z^-1 with w_z = z^-1 err(z).  err is the identity on homology
-        # (A(h o g) = A^-1 A), so the correction is too.
-        corr_images = tuple(z * w.inverse() * z for z, w in zip(ident.images, err.images))
-        g = compose(g, _built(ab, h.level, corr_images, identity_matrix(ab.size)))
+        # (A(h o g) = A^-1 A), so the correction is too.  Its series is
+        # (1 + Z) M(err(z))^-1 (1 + Z), and M(err(z))^-1 is M(z^-1) with err's
+        # series substituted.
+        corr = _built(ab, q, tuple(z * w.inverse() * z for z, w in zip(ident.images, err.images)),
+                      identity_matrix(ab.size))
+        corr._series = tuple(z * w * z for z, w in zip(ident.series(),
+                                                       substitute_series(inverses, err.series(), q)))
+        g = compose(g, corr)
     else:
         raise InvariantError("inverse iteration failed to converge")
     if h._aut0_known is True:

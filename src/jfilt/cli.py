@@ -125,8 +125,11 @@ def _render(payload, csv: bool) -> str:
 def _emit(payload, args) -> None:
     text = _render(payload, args.csv)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError("cannot write %s: %s" % (args.out, exc))
     else:
         print(text)
 

@@ -54,6 +54,7 @@ from jfilt.words import (
     GroupWord,
     commutator,
     generator,
+    magnus_expand,
     nilpotent_equal,
     omega,
     project_y,
@@ -276,6 +277,63 @@ def test_a_chain_of_3000_compositions_is_queried_without_recursion(monkeypatch):
     assert expanded and not any(w is v for w in expanded for v in chain.images)
     assert any(w is v for w in expanded for v in h.images)
     assert filtration_degree(chain) == filtration_degree(expected) == 0
+
+
+def test_compose_builds_no_words_until_images_is_read(monkeypatch):
+    h1 = phi_hat(random_kernel_tuple(random.Random(3), 2, 2))
+    h2 = psi_hat(full_twist_tuple(2, 4, 1, X_ONLY))
+    eager = [h1.apply(w) for w in h2.images]
+    substituted = []
+    real = jfilt.automorphisms.substitute
+    monkeypatch.setattr(jfilt.automorphisms, "substitute", lambda w, images: substituted.append(w) or real(w, images))
+    h = compose(h1, h2)
+    check_aut0(h), filtration_degree(h), jl_element(h, 2)
+    assert lagrangian_degree(h) == 2
+    assert h != identity_aut(2, 4) and compose(h, h) != h
+    assert substituted == []
+    words = h.images
+    assert substituted == list(h2.images)
+    assert [w.letters for w in words] == [w.letters for w in eager]
+    assert h.images is words  # built once
+
+
+def test_a_chain_of_2000_compositions_reads_its_words_without_recursion():
+    # Each product's words are outer's applied to inner's, and the operands'
+    # words are built first from a stack, 2000 deep, not by recursion.
+    chain = functools.reduce(compose, [transvection(3)] * 2000)
+    assert [w.letters for w in chain.images] == [((0, 1), (1, 2000)), ((1, 1),)]
+
+
+def _mixed_products(g, k):
+    """phi_hat o psi_hat and psi_hat o phi_hat of seeded tuples at (g, k)."""
+    a = phi_hat(random_kernel_tuple(random.Random(10 * g + k), g, k))
+    b = psi_hat(full_twist_tuple(g, k + 2, 1, X_ONLY))
+    return [(a, b), (b, a)]
+
+
+@pytest.mark.parametrize("g, k", [(g, k) for g in (1, 2, 3) for k in (1, 2)])
+def test_projected_series_of_an_unfilled_product_agrees_with_both_other_routes(g, k):
+    for outer, inner in _mixed_products(g, k):
+        h = compose(outer, inner)
+        filled = compose(outer, inner)
+        filled.series()
+        bare = NilAut(h.alphabet, h.level, h.images)
+        for cutoff in range(2, h.level + 1):
+            substituted = h.projected_series(cutoff)
+            assert h._series is None  # substituted, never filled
+            assert substituted == filled.projected_series(cutoff) == bare.projected_series(cutoff)
+        assert bare._series is None  # the projected words were expanded
+
+
+@pytest.mark.parametrize("g, k", [(g, k) for g in (1, 2, 3) for k in (1, 2)])
+def test_inverse_series_from_corrections_matches_its_words(g, k):
+    # The corrections' series come from the error series, not their words.
+    # At k = 2 the products' inverses have words past the letter cap.
+    a, b = _mixed_products(g, k)[0]
+    for h in [a, b] + ([compose(a, b), compose(b, a)] if k == 1 else []):
+        inv = invert_aut(h)
+        assert inv.series() == tuple(magnus_expand(w, h.level) for w in inv.images)
+        assert compose(h, inv) == compose(inv, h) == identity_aut(g, h.level)
 
 
 def test_reduce_level_commutes_with_compose():

@@ -399,6 +399,9 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "aut", "invert", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read" in err
+    code, _, err = invoke(capsys, "witt", "2", "3", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert "cannot write" in err
     for n, k in (("2", "abc"), ("x", "2"), ("2", "1e3")):
         code, _, err = invoke(capsys, "tree", "span", n, k)
         assert code == 2, (n, k, err)
@@ -549,6 +552,23 @@ def test_chained_compose_exits_2_before_building_the_product(tmp_path):
         assert "would exceed" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert elapsed < 1.0
+
+
+def test_cocycle_of_a_product_past_the_word_cap_builds_no_product_words(tmp_path):
+    # The product's x1 image would have about 2 * 10^6 letters.  The cocycle
+    # reads the product's series only, so it answers; rendering the product
+    # still meets the cap.
+    path = write_json(
+        tmp_path, "a.json", {"g": 1, "q": 3, "images": {"x1": "x1 [x1,y1]^500", "y1": "y1"}}
+    )
+    proc, elapsed = run_in_one_gib("lagrangian", "cocycle", path, path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"k": 1, "holds": True}
+    assert elapsed < 1.0
+    proc, _ = run_in_one_gib("aut", "compose", path, path)
+    assert proc.returncode == 2, proc.stderr
+    assert "would exceed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_conjugation_power_in_stringlink_compose_stays_one_letter(tmp_path):
