@@ -499,6 +499,8 @@ def psi_hat(t: LongitudeTuple, q: Optional[int] = None) -> NilAut:
 
 def extract_longitudes(h: NilAut, k: int) -> LongitudeTuple:
     """Read the y-projection of each ``h(x_i)`` as a tuple at level ``k+1``."""
+    if k < 1:
+        raise PreconditionError("extract_longitudes: k must be at least 1")
     if h.level < k + 1:
         raise PreconditionError("extract_longitudes: level below k+1")
     entries = tuple(project_y(h.images[i]) for i in range(h.genus))
@@ -559,7 +561,7 @@ def tuple_from_json(data: dict) -> LongitudeTuple:
         entries = tuple(parse_word(text, ab) for text in raw)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad tuple payload: %s" % (exc,))
     return LongitudeTuple(g, q, kind, entries)
 

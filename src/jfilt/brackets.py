@@ -255,7 +255,7 @@ def tensor_from_json(data: dict) -> TensorElement:
         if not isinstance(coords, list):
             raise TypeError("coords must be a list")
         values = [int(c) for c in coords]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad tensor element payload: %s" % (exc,))
     expected = n * witt_dimension(n, level + 1)
     if len(values) != expected:

@@ -75,11 +75,12 @@ def _k_or_default(k: Optional[int], h, degree) -> int:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, bad UTF-8, or an integer too long to convert.
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("malformed JSON in %s: %s" % (path, exc))
 
 
@@ -123,10 +124,13 @@ def _render(payload, csv: bool) -> str:
 
 
 def _emit(payload, args) -> None:
-    text = _render(payload, args.csv)
+    _write(_render(payload, args.csv), args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         try:
-            with open(args.out, "w") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise ValidationError("cannot write %s: %s" % (args.out, exc))
@@ -361,12 +365,14 @@ def _cmd_graph(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = run_all(args.seed)
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(
+    _write(
+        "\n".join(
             "CRITERION %2d %s (%.2fs): %s — %s"
-            % (r.number, status, r.seconds, r.name, r.detail)
-        )
+            % (r.number, "PASS" if r.ok else "FAIL", r.seconds, r.name, r.detail)
+            for r in results
+        ),
+        args,
+    )
     return 0 if all(r.ok for r in results) else 1
 
 

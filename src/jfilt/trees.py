@@ -145,7 +145,7 @@ def clasper_from_json(data: dict) -> ClasperGraph:
         return make_graph(n, vertices, edges, labels, cyclic)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad graph payload: %s" % (exc,))
 
 

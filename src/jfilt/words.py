@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import PreconditionError, ValidationError
 
@@ -480,6 +480,18 @@ def _generator_table(alphabet: Alphabet) -> Dict[str, int]:
     return {}
 
 
+# Most groups a word may nest, one inside another.  A closed group's letters
+# are copied into the group around it, so this bounds the copies of a letter.
+MAX_WORD_NESTING = 500
+
+# The error for a word that ends inside a group, by the mark the group awaits.
+_UNCLOSED = {
+    ")": "unbalanced parenthesis",
+    ",": "commutator is missing a comma",
+    "]": "commutator is missing a closing bracket",
+}
+
+
 def _exponent(digits: str) -> int:
     try:
         return int(digits)
@@ -493,7 +505,8 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     parentheses for grouping.  The empty string is the identity.
 
     The text is scanned once into tokens (name, exponent, bare exponent,
-    punctuation, rest), and a recursive descent walks them by index."""
+    punctuation, rest), and one loop walks them with a stack of open
+    groups."""
     if not isinstance(text, str):
         raise ValidationError("a word must be a string, not %s" % (type(text).__name__,))
     # Without trailing white space every scan position starts a token, so
@@ -504,76 +517,53 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     end = len(tokens)
     table = _generator_table(alphabet)
 
-    # A sequence collects the unreduced letters of its terms in one list and
-    # the whole word is reduced once at the end.  The operands of a
-    # commutator and the base of a power are reduced on the way, because
-    # they are copied: letters that cancel are not copied with them.
-    # ``held`` keeps the letter lists of the open sequences and the left
-    # operands of open commutators: what a new term is built on top of.
-    held: List[Sequence[Letter]] = []
-
-    def parse_sequence(i: int, stop: Optional[str]) -> Tuple[List[Letter], int]:
-        """Terms from token i up to the end or the punctuation ``stop``."""
-        out: List[Letter] = []
-        held.append(out)
-        while i < end:
-            name, power, bare, mark, _ = tokens[i]
-            if not name:
-                if mark == stop:
-                    break
-                base, i = parse_group(i)
-                out += base
-                continue
+    # Each open group is a frame [closer, letters, left]: the mark that ends
+    # its current part, the unreduced letters of that part, and a
+    # commutator's left operand once its comma is read, else ().  The bottom
+    # frame is the word.  The frames hold every letter a new term is built
+    # on, which is what the letter cap counts.  Operands and the base of a
+    # power are reduced, as they are copied; the word is reduced once at the
+    # end.
+    stack: List[list] = [[None, [], ()]]
+    out = stack[-1][1]
+    i = 0
+    while i < end:
+        name, power, bare, mark, _ = tokens[i]
+        i += 1
+        if name:
             gen = table.get(name)
             if gen is None:
                 gen = table[name] = alphabet.index(name)
-            i += 1
             if not power and i < end and tokens[i][2]:
                 power = tokens[i][2]
                 i += 1
             out.append((gen, _exponent(power) if power else 1))
-        held.pop()
-        return out, i
-
-    def parse_group(i: int) -> Tuple[Tuple[Letter, ...], int]:
-        """A commutator or a parenthesised sequence at token i, with its
-        power if one follows."""
-        mark = tokens[i][3]
-        if mark == "[":
-            left, i = parse_sequence(i + 1, ",")
-            left = _reduce_letters(left)
-            if i == end or tokens[i][3] != ",":
-                raise ValidationError("commutator is missing a comma")
-            held.append(left)
-            right, i = parse_sequence(i + 1, "]")
-            right = _reduce_letters(right)
-            held.pop()
-            if i == end or tokens[i][3] != "]":
-                raise ValidationError("commutator is missing a closing bracket")
-            _check_room(sum(map(len, held)), 2 * (len(left) + len(right)))
-            base = left + right + _inverse_letters(left) + _inverse_letters(right)
-        elif mark == "(":
-            base, i = parse_sequence(i + 1, ")")
-            base = tuple(base)
-            if i == end or tokens[i][3] != ")":
-                raise ValidationError("unbalanced parenthesis")
-        else:
-            bare = tokens[i][2]
+        elif mark == "(" or mark == "[":
+            if len(stack) > MAX_WORD_NESTING:
+                raise ValidationError("word nests groups more than %d deep" % (MAX_WORD_NESTING,))
+            stack.append([")" if mark == "(" else ",", [], ()])
+            out = stack[-1][1]
+        elif mark != stack[-1][0]:
             raise ValidationError("unexpected token %r" % ("^" + bare if bare else mark,))
-        i += 1
-        if i < end and tokens[i][2]:
-            n = _exponent(tokens[i][2])
-            i += 1
-            if len(base) == 1:
-                base = ((base[0][0], base[0][1] * n),)
-            else:
-                base = _power_letters(_reduce_letters(base), n, sum(map(len, held)))
-        return base, i
-
-    letters, i = parse_sequence(0, None)
-    if i != end:
-        raise ValidationError("trailing tokens in word")
-    return GroupWord(alphabet, tuple(letters))
+        elif mark == ",":
+            stack[-1] = ["]", [], _reduce_letters(out)]
+            out = stack[-1][1]
+        else:
+            _, base, left = stack.pop()
+            out = stack[-1][1]
+            held = sum(len(letters) + len(operand) for _, letters, operand in stack)
+            if mark == "]":
+                right = _reduce_letters(base)
+                _check_room(held, 2 * (len(left) + len(right)))
+                base = left + right + _inverse_letters(left) + _inverse_letters(right)
+            if i < end and tokens[i][2]:
+                n = _exponent(tokens[i][2])
+                i += 1
+                base = _power_letters(_reduce_letters(base), n, held)
+            out += base
+    if len(stack) > 1:
+        raise ValidationError(_UNCLOSED[stack[-1][0]])
+    return GroupWord(alphabet, tuple(out))
 
 
 def render_word(w: GroupWord) -> str:

@@ -690,6 +690,9 @@ def test_extract_longitudes_level_precondition():
     h = phi_hat(kernel_lift_tuple(3, 1, [1]))  # level 3
     with pytest.raises(PreconditionError, match="level"):
         extract_longitudes(h, 3)
+    for k in (0, -1):
+        with pytest.raises(PreconditionError, match="k must be at least 1"):
+            extract_longitudes(h, k)
 
 
 def test_kernel_lift_tuples_are_valid():

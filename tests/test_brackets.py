@@ -251,6 +251,8 @@ def test_json_roundtrip():
         {"n": 2, "k": 1, "coords": "12"},
         {"n": 2, "k": 1, "coords": [1]},
         {"n": 2, "k": 0, "coords": [1, 2, 3, 4]},
+        {"n": float("inf"), "k": 1, "coords": []},
+        {"n": 2, "k": 1, "coords": [float("inf")]},
         None,
     ):
         with pytest.raises(ValidationError):

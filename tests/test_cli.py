@@ -20,6 +20,7 @@ import jfilt.brackets
 import jfilt.cli
 import jfilt.lagrangian
 import jfilt.orientation
+from jfilt.acceptance import CriterionResult
 from jfilt.automorphisms import (
     aut_from_json,
     aut_to_json,
@@ -274,6 +275,14 @@ def test_stringlink_extract_inverts_phi(capsys, tmp_path):
     assert got.entries == t.entries
 
 
+def test_stringlink_extract_needs_k_at_least_1(capsys, tmp_path):
+    path = write_json(tmp_path, "h.json", aut_to_json(phi_hat(kernel_lift_tuple(3, 1, [1]))))
+    for k in ("0", "-1"):
+        code, _, err = invoke(capsys, "stringlink", "extract", path, "--k", k)
+        assert code == 3, (k, err)
+        assert "k must be at least 1" in err
+
+
 def test_lagrangian_jl_and_degree(capsys, tmp_path):
     h = kernel_aut()
     path = write_json(tmp_path, "h.json", aut_to_json(h))
@@ -413,6 +422,46 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
             code, _, err = invoke(capsys, *command, path)
             assert code == 2, (labels, command, err)
             assert "labels must be an object" in err
+    # JSON nested past the decoder's recursion limit, bytes that are not
+    # UTF-8, and an integer with more digits than int() converts.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\x80{")
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"g": %s}' % ("1" * 5000))
+    for path in (deep, undecodable, long_int):
+        for command in (("aut", "degree"), ("graph", "orient")):
+            code, _, err = invoke(capsys, *command, str(path))
+            assert code == 2, (path, command, err)
+            assert "malformed JSON" in err
+    # Numbers past float range read as infinity, which no count accepts.
+    def huge(payload, field):
+        path = tmp_path / ("huge_%s.json" % field)
+        path.write_text(json.dumps(dict(payload, **{field: "HUGE"})).replace('"HUGE"', "1e400"))
+        return str(path)
+
+    path = huge(theta_payload(), "n")
+    for command in (("tree", "image"), ("graph", "orient"), ("graph", "count")):
+        code, _, err = invoke(capsys, *command, path)
+        assert code == 2, (command, err)
+        assert "bad graph payload" in err
+    framing = tuple_to_json(framing_tuple(1, 3, [1]))
+    ok = write_json(tmp_path, "ok.json", framing)
+    for field in ("g", "q"):
+        path = huge(framing, field)
+        for argv in (("phi", path), ("psi", path), ("compose", path, ok)):
+            code, _, err = invoke(capsys, "stringlink", *argv)
+            assert code == 2, (field, argv, err)
+            assert "bad tuple payload" in err
+    # A word nested past MAX_WORD_NESTING; 495 groups used to overflow the
+    # recursion of the old parser and now parse.
+    for depth, expected in ((495, 0), (2000, 2), (100000, 2)):
+        image = "(" * depth + "x1" + ")" * depth
+        path = write_json(tmp_path, "nested.json", {"g": 1, "q": 3, "images": {"x1": image, "y1": "y1"}})
+        code, _, err = invoke(capsys, "aut", "degree", path)
+        assert code == expected, (depth, err)
+        assert expected == 0 or "more than 500 deep" in err
 
 
 # Pieces of word strings, most of them malformed on their own.
@@ -647,6 +696,23 @@ def test_level_flag_reduces_before_acting(capsys, tmp_path):
     got = aut_from_json(json.loads(out))
     assert got.level == 3
     assert got == invert_aut(reduce_level(h, 3))
+
+
+def test_selftest_writes_out(capsys, tmp_path, monkeypatch):
+    results = [CriterionResult(1, "one", True, "fine", 0.5), CriterionResult(2, "two", False, "broken", 0.25)]
+    monkeypatch.setattr(jfilt.cli, "run_all", lambda seed: results)
+    path = tmp_path / "selftest.txt"
+    code, out, _ = invoke(capsys, "selftest", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert path.read_text(encoding="utf-8") == (
+        "CRITERION  1 PASS (0.50s): one — fine\n"
+        "CRITERION  2 FAIL (0.25s): two — broken\n"
+    )
+    code, out, _ = invoke(capsys, "selftest")
+    assert (code, out) == (1, path.read_text(encoding="utf-8"))
+    code, _, err = invoke(capsys, "selftest", "--out", str(tmp_path / "missing" / "x.txt"))
+    assert code == 2
+    assert "cannot write" in err
 
 
 def test_selftest_exits_zero(capsys):

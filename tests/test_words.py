@@ -437,6 +437,11 @@ MALFORMED = {
     "x1 ^ 2": "unexpected input at '^ 2'",
     "x1 $ y1 x2 y2 x1  ": "unexpected input at '$ y1 x2 y2 x'",
     "x": "unexpected input at 'x'",
+    "([x1,y1)": "unexpected token ')'",
+    "[(x1,y1)]": "unexpected token ','",
+    "((x1)": "unbalanced parenthesis",
+    "[x1,[y1,x2]": "commutator is missing a closing bracket",
+    "[[x1": "commutator is missing a comma",
 }
 
 
@@ -449,6 +454,22 @@ def test_parse_rejects_malformed_input():
         parse_word("x1 y1", Alphabet(2, "x"))
     # Names resolve as Alphabet.index reads them, and white space is free.
     assert parse_word(" x01\ty1 ^2\n", FULL2) == word(FULL2, (0, 1), (2, 2))
+
+
+def test_parse_bounds_nesting():
+    assert words.MAX_WORD_NESTING == 500
+    assert parse_word("(" * 500 + "x1" + ")" * 500, FULL2) == generator(FULL2, 0)
+    x1, y1 = generator(FULL2, 0), generator(FULL2, 2)
+    assert parse_word("(" * 499 + "[x1,y1]" + ")" * 499, FULL2) == commutator(x1, y1)
+    for text in ("(" * 501 + "x1" + ")" * 501, "(" * 500 + "[x1,y1]" + ")" * 500):
+        with pytest.raises(ValidationError, match="^word nests groups more than 500 deep$"):
+            parse_word(text, FULL2)
+    # Deeper nesting is refused at the first group past the bound, however
+    # long the text.
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="more than 500 deep"):
+        parse_word("(" * 100000 + "x1" + ")" * 100000, FULL2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_resolves_names_at_any_genus():
@@ -491,6 +512,18 @@ def test_power_and_commutator_growth_is_capped(monkeypatch):
     # The left operand of an open commutator counts while the right is built.
     with pytest.raises(ValidationError, match="60 built, 60 more"):
         parse_word("[(x1 y1)^30, (x1 y2)^30 x2]", FULL2)
+    # Every letter held around the group being built counts, as written:
+    # x2^0 counts in the third.
+    for text, message in (
+        ("x1 y1 x2 (x1 y1)^49", "(3 built, 98 more requested)"),
+        ("x1 [y1 x2, (x1 y1)^30]", "(1 built, 124 more requested)"),
+        ("(x1 x2^0 [y1, x2 (x1 y2)^24])^2", "(2 built, 100 more requested)"),
+    ):
+        with pytest.raises(ValidationError) as caught:
+            parse_word(text, FULL2)
+        assert str(caught.value) == "word would exceed 100 letters " + message
+    # A group raised to the power 0 leaves no letter behind to count.
+    assert len(parse_word("(x1)^0 (x1 y1)^50", FULL2).letters) == 100
 
 
 def test_plain_substitution_is_capped(monkeypatch):
