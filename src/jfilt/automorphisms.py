@@ -85,6 +85,11 @@ class NilAut:
         # have already established the answer by an exactly equivalent test.
         self._aut0_known: Optional[bool] = None
         self._series: Optional[Tuple[TruncatedSeries, ...]] = None
+        # The terms of M(project_y(h(x_i))) below the level, for one built
+        # from words with no series when first projected.
+        self._projected: Optional[List[Dict[Tuple[int, ...], int]]] = None
+        # k -> (jl tensor, in_hat), filled by lagrangian.jl_element.
+        self._jl: Dict[int, tuple] = {}
         # (inner, outer) of a composition, whose words are outer's applied to
         # inner's and whose series is inner's with outer's substituted; None
         # for one built from words.  Dropped once both are held.
@@ -138,15 +143,19 @@ class NilAut:
             inner._series, outer._series, inner.level))
 
     def projected_series(self, cutoff: int) -> List[Dict[Tuple[int, ...], int]]:
-        """The terms of M(project_y(h(x_i))) below ``cutoff`` for i < g, over
-        the y-alphabet.  One built from words with no series yet expands its
-        projected words; otherwise this is pi of the series, pi killing every
-        X-variable.  As pi is a ring homomorphism, pi(T(S)) = T(pi S) for a
-        substitution T, so a composition with no series yet substitutes pi of
-        its outer operand's series into its inner's x-series instead."""
+        """The terms of M(project_y(h(x_i))) below ``cutoff`` (at most the
+        level) for i < g, over the y-alphabet.  One built from words with no
+        series yet expands its projected words once, at its level, and
+        truncates them for every cutoff; otherwise this is pi of the series,
+        pi killing every X-variable.  As pi is a ring homomorphism,
+        pi(T(S)) = T(pi S) for a substitution T, so a composition with no
+        series yet substitutes pi of its outer operand's series into its
+        inner's x-series instead."""
         g = self.genus
-        if self._series is None and self._fill is None:
-            return [magnus_expand(project_y(w), cutoff).terms for w in self._images[:g]]
+        if self._projected is None and self._series is None and self._fill is None:
+            self._projected = [magnus_expand(project_y(w), self.level).terms for w in self._images[:g]]
+        if self._projected is not None:
+            return [{m: c for m, c in t.items() if len(m) < cutoff} for t in self._projected]
         if self._series is None:
             inner, outer = self._fill
             xs = [TruncatedSeries(self.alphabet, cutoff, s.terms) for s in inner.series()[:g]]

@@ -79,7 +79,9 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
 
     Preconditions: ``k >= 1``, working level at least ``k+2`` (so the
     degree-``(k+1)`` classes are meaningful), and ``lagrangian_degree(h)``
-    at least ``k``.
+    at least ``k``.  The tensor and ``in_hat`` are held on ``h`` per k; the
+    kernel check runs on every call, since ``h._aut0_known`` can be settled
+    after they are held.
     """
     if k < 1:
         raise PreconditionError("jl_element: k must be at least 1")
@@ -88,14 +90,17 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
             "jl_element: level %d is below k+2 = %d" % (h.level, k + 2)
         )
     g = h.genus
-    classes = {}
-    for i, terms in enumerate(h.projected_series(k + 2)):
-        if any(0 < len(m) <= k for m in terms):
-            raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
-        top = {m: c for m, c in terms.items() if len(m) == k + 1}
-        classes[i] = tensor_to_lyndon(top, g, k + 1)
-    value = tensor_from_components(g, k, classes)
-    in_hat = _block(h, slice(g, 2 * g)) == identity_matrix(g)
+    held = h._jl.get(k)
+    if held is None:
+        classes = {}
+        for i, terms in enumerate(h.projected_series(k + 2)):
+            if any(0 < len(m) <= k for m in terms):
+                raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
+            top = {m: c for m, c in terms.items() if len(m) == k + 1}
+            classes[i] = tensor_to_lyndon(top, g, k + 1)
+        held = h._jl[k] = (tensor_from_components(g, k, classes),
+                           _block(h, slice(g, 2 * g)) == identity_matrix(g))
+    value, in_hat = held
     if in_hat and h._aut0_known is True:
         # Kernel membership is a theorem for boundary-fixing elements with
         # trivial induced action; it can genuinely fail without the boundary

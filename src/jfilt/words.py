@@ -355,14 +355,19 @@ def substitute_series(
     of h(u) cancels when it is written as a word (Magnus-Karrass-Solitar,
     ch. 5).  A monomial Z_a...Z_b becomes (images[a] - 1)...(images[b] - 1),
     built by one multiplication from the value of its prefix; monomials
-    shared by the series are built once."""
+    shared by the series are built once.  Once the prefix values and the
+    results hold more than MAX_SERIES_TERMS terms in all, it raises
+    PreconditionError, checked after each term a value or result is built
+    from."""
     factors = [
         sorted(((len(m), m, c) for m, c in image.terms.items() if m), key=lambda t: t[0])
         for image in images
     ]
     values: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {(): {(): 1}}
+    held = 1
 
     def value(m: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+        nonlocal held
         out = values.get(m)
         if out is None:
             out = values[m] = {}
@@ -373,6 +378,8 @@ def substitute_series(
                         break
                     key = head + tail
                     out[key] = out.get(key, 0) + c * b
+                _check_terms(held + len(out))
+            held += len(out)
         return out
 
     result = []
@@ -381,70 +388,130 @@ def substitute_series(
         for m, c in s.terms.items():
             for key, v in value(m).items():
                 terms[key] = terms.get(key, 0) + c * v
+            _check_terms(held + len(terms))
+        held += len(terms)
         result.append(TruncatedSeries(images[0].alphabet, cutoff, terms))
     return tuple(result)
 
 
-def _right_multiply(by_degree: List[Dict[Tuple[int, ...], int]], factor) -> None:
-    """Multiply the per-degree dicts on the right by 1 + F in place, where
-    ``factor`` lists the terms of F as (degree, monomial, coefficient) by
-    increasing degree.  Degrees are visited from the top down: a term of
-    degree d adds only to degrees above d, which have already been read."""
-    q = len(by_degree)
-    for d in range(q - 2, -1, -1):
-        source = by_degree[d]
-        if not source:
-            continue
-        room = q - d
-        for j, tail, b in factor:
-            if j >= room:
-                break
-            target = by_degree[d + j]
-            for m, c in source.items():
-                key = m + tail
-                val = target.get(key, 0) + c * b
-                if val:
-                    target[key] = val
-                else:
-                    del target[key]
+# Most terms a Magnus series may build: the nodes of one expansion's trie, or
+# the terms of one substitution's prefix values and results.  The benchmark
+# workloads, the tests and the self-test build at most a few thousand; one
+# hostile 20-letter image at genus 4 and cutoff 8 builds over a million.
+MAX_SERIES_TERMS = 2 * 10**5
 
 
-def _expand_letters(by_degree: List[Dict[Tuple[int, ...], int]], letters: Iterable[Letter]) -> None:
-    """Multiply on the right by (1 + Z)^e for each letter z^e: a term c*m of
-    degree d adds c*binom_j(e) at m.Z^j for 0 < j < q - d."""
-    q = len(by_degree)
-    factors: Dict[Letter, list] = {}
-    for letter in letters:
-        factor = factors.get(letter)
-        if factor is None:
-            # (j, Z^j, binom_j(e)) while binom_j(e) != 0; the recurrence
-            # binom_j(e) = binom_{j-1}(e) * (e - j + 1) / j is exact for
-            # e < 0 too.
-            gen, exp = letter
-            factor = factors[letter] = []
-            b = 1
-            for j in range(1, q):
-                b = b * (exp - j + 1) // j
-                if not b:
-                    break
-                factor.append((j, (gen,) * j, b))
-        _right_multiply(by_degree, factor)
+def _check_terms(held: int) -> None:
+    if held > MAX_SERIES_TERMS:
+        raise PreconditionError(
+            "Magnus series would exceed %d terms (%d built)" % (MAX_SERIES_TERMS, held)
+        )
 
 
 def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
     """Image of w under z -> 1 + Z, truncated below degree q (q >= 2).
 
-    The terms are kept in one dict per degree, multiplied on the right by
-    (1 + Z)^e for each letter z^e, in place and from the top degree down,
-    so a letter costs O(terms * q) and never visits the top degree.  Every
-    call returns a new series."""
+    The terms live in a trie for the length of the call: a node [c, kids]
+    is a monomial m below the top degree q - 1 and its coefficient, kids
+    maps a generator z to the node of m.z, or at the top degree to its bare
+    coefficient, and ``levels[d]`` lists the nodes of degree d.  A letter
+    z^e multiplies on the right by (1 + Z)^e.  For z^1 each node adds its
+    coefficient into its z-child, degrees from the top down, so each source
+    is read before it is changed.  For z^-1 the product S' = S (1 + Z)^-1
+    satisfies S' = S - S'Z, so each node subtracts its new coefficient from
+    its z-child, degrees from the bottom up.  Either is one pass over the
+    trie.  For |e| >= 2 a node adds c * binom_j(e) down its chain of
+    z-children, for 0 < j < q - d, degrees from the top down.  No monomial
+    tuple is built until one walk fills the returned series.
+
+    A word whose trie would pass MAX_SERIES_TERMS nodes raises
+    PreconditionError, checked after each letter, which can at most
+    multiply the count by q.  Every call returns a new series."""
     if q < 2:
         raise PreconditionError("cutoff must be at least 2")
-    by_degree: List[Dict[Tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(q - 1)]
-    _expand_letters(by_degree, w.letters)
+    top = q - 1
+    root = [1, {}]
+    levels: List[list] = [[root]] + [[] for _ in range(top - 1)]
+    held = 1  # nodes and top-degree coefficients
+    chains: Dict[int, list] = {}  # exponent -> binom_j(exponent) for 0 < j < q
+    down = range(top - 1, -1, -1)
+    up = range(top)
+    for gen, exp in w.letters:
+        if exp == 1 or exp == -1:
+            for d in (down if exp == 1 else up):
+                if d + 1 == top:
+                    for node in levels[d]:
+                        c = node[0]
+                        if c:
+                            kids = node[1]
+                            t = kids.get(gen)
+                            if t is None:
+                                kids[gen] = exp * c
+                                held += 1
+                            else:
+                                kids[gen] = t + exp * c
+                    continue
+                below = levels[d + 1]
+                for node in levels[d]:
+                    c = node[0]
+                    if c:
+                        kids = node[1]
+                        child = kids.get(gen)
+                        if child is None:
+                            kids[gen] = child = [exp * c, {}]
+                            below.append(child)
+                            held += 1
+                        else:
+                            child[0] += exp * c
+        else:
+            chain = chains.get(exp)
+            if chain is None:
+                # While it is nonzero; the recurrence binom_j(e) =
+                # binom_{j-1}(e) * (e - j + 1) / j is exact for e < 0 too.
+                chain = chains[exp] = []
+                b = 1
+                for j in range(1, q):
+                    b = b * (exp - j + 1) // j
+                    if not b:
+                        break
+                    chain.append(b)
+            for d in down:
+                steps = chain[: top - d]
+                for node in levels[d]:
+                    c = node[0]
+                    if not c:
+                        continue
+                    for j, b in enumerate(steps, d + 1):
+                        kids = node[1]
+                        if j == top:
+                            t = kids.get(gen)
+                            if t is None:
+                                held += 1
+                                t = 0
+                            kids[gen] = t + c * b
+                            break
+                        node = kids.get(gen)
+                        if node is None:
+                            kids[gen] = node = [c * b, {}]
+                            levels[j].append(node)
+                            held += 1
+                        else:
+                            node[0] += c * b
+        _check_terms(held)
+    terms: Dict[Tuple[int, ...], int] = {}
+    stack = [((), root)]
+    while stack:
+        m, (c, kids) = stack.pop()
+        if c:
+            terms[m] = c
+        if len(m) + 1 == top:
+            for z, t in kids.items():
+                if t:
+                    terms[m + (z,)] = t
+        else:
+            stack.extend([(m + (z,), child) for z, child in kids.items()])
     series = TruncatedSeries(w.alphabet, q)
-    for terms in by_degree:
-        series.terms.update(terms)
+    series.terms = terms
     return series
 
 

@@ -46,6 +46,7 @@ from jfilt.cli import _build_parser, run
 from jfilt.lagrangian import jl_element
 from jfilt.lie import witt_dimension
 from jfilt.trees import clasper_to_json, make_graph, random_labeled_tree, tree_to_dk
+from jfilt.words import project_y
 
 
 def invoke(capsys, *argv):
@@ -296,6 +297,22 @@ def test_lagrangian_jl_and_degree(capsys, tmp_path):
     code, out, _ = invoke(capsys, "lagrangian", "degree", path)
     assert code == 0
     assert json.loads(out) == {"lagrangian_degree": 1}
+
+
+def test_lagrangian_jl_expands_each_projected_word_once(capsys, tmp_path, monkeypatch):
+    # The default k reads the Lagrangian degree at the level, and jl reads
+    # the same projections again at k + 2 = level.
+    f = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    path = write_json(tmp_path, "h.json", aut_to_json(compose(f, f)))
+    expanded = []
+    real = jfilt.automorphisms.magnus_expand
+    monkeypatch.setattr(jfilt.automorphisms, "magnus_expand",
+                        lambda w, q: expanded.append((w.letters, q)) or real(w, q))
+    code, out, _ = invoke(capsys, "lagrangian", "jl", path)
+    assert code == 0
+    assert json.loads(out)["k"] == 2
+    projected = [project_y(w).letters for w in compose(f, f).images[:2]]
+    assert sorted(expanded) == sorted((letters, 4) for letters in projected)
 
 
 def test_lagrangian_cocycle(capsys, tmp_path):
@@ -618,6 +635,32 @@ def test_cocycle_of_a_product_past_the_word_cap_builds_no_product_words(tmp_path
     assert proc.returncode == 2, proc.stderr
     assert "would exceed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def hostile_series_payload():
+    """Genus 4, level 8: images x_i [u, v] with u and v 20 random letters
+    long, y_i fixed.  Below degree 8 the series of one such image can hold
+    over a million terms; before the term cap such a file ran about 30 s at
+    1.2 GB."""
+    rng = random.Random(1)
+    names = ["x%d" % i for i in range(1, 5)] + ["y%d" % i for i in range(1, 5)]
+
+    def letters():
+        return " ".join(rng.choice(names) + rng.choice(("", "^-1")) for _ in range(20))
+
+    images = {"x%d" % i: "x%d [%s, %s]" % (i, letters(), letters()) for i in range(1, 5)}
+    images.update({"y%d" % i: "y%d" % i for i in range(1, 5)})
+    return {"g": 4, "q": 8, "images": images}
+
+
+def test_a_series_past_the_term_cap_exits_3_without_a_traceback(tmp_path):
+    path = write_json(tmp_path, "hostile.json", hostile_series_payload())
+    for command in ("aut degree", "aut check-aut0", "aut johnson"):
+        proc, elapsed = run_in_one_gib(*command.split(), path)
+        assert proc.returncode == 3, (command, proc.stderr)
+        assert "would exceed 200000 terms" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 10.0
 
 
 def test_conjugation_power_in_stringlink_compose_stays_one_letter(tmp_path):

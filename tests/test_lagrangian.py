@@ -1,6 +1,7 @@
 """Tests for the Lagrangian filtration, obstruction tensor, and rank gaps."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from jfilt.automorphisms import (
     random_kernel_tuple,
 )
 from jfilt.brackets import bracket_map, embed_tensor, tensor_from_components
-from jfilt.errors import PreconditionError
+from jfilt.errors import InvariantError, PreconditionError
 from jfilt.lagrangian import (
     cocycle_check,
     gap_closed_form,
@@ -258,3 +259,37 @@ def test_gap_table_running_sum_matches_pure_braid_rank():
     pairs = [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (7, 1), (8, 1), (8, 1), (5, 2), (1, 3)]
     rows = gap_table(pairs)
     assert [row["braid_rank"] for row in rows] == [pure_braid_rank(g, k) for g, k in pairs]
+
+
+def test_both_cocycle_orders_project_each_automorphism_once(monkeypatch):
+    # cocycle_check(h1, h2) and cocycle_check(h2, h1) need jl of h1, h2 and
+    # the two products: four projections, each held after its first use.
+    h1 = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    h2 = psi_hat(framing_tuple(2, 4, [1, -1], X_ONLY))
+    projected = []
+    real = NilAut.projected_series
+    monkeypatch.setattr(NilAut, "projected_series",
+                        lambda h, cutoff: projected.append((h, cutoff)) or real(h, cutoff))
+    assert cocycle_check(h1, h2, 2) and cocycle_check(h2, h1, 2)
+    assert [cutoff for _, cutoff in projected] == [4] * 4
+    assert len({id(h) for h, _ in projected}) == 4
+    assert {id(h1), id(h2)} <= {id(h) for h, _ in projected}
+
+
+def test_a_held_jl_element_is_still_checked_against_the_kernel(monkeypatch):
+    h = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    h._aut0_known = None
+    first = jl_element(h, 2)
+    assert first.in_hat
+    checked = []
+    real = jfilt.lagrangian.bracket_map
+    monkeypatch.setattr(jfilt.lagrangian, "bracket_map", lambda t: checked.append(t) or real(t))
+    assert jl_element(h, 2) == first
+    assert checked == []
+    # The boundary property settled after the value was held: the check runs.
+    h._aut0_known = True
+    assert jl_element(h, 2) == first
+    assert checked == [first.value]
+    monkeypatch.setattr(jfilt.lagrangian, "bracket_map", lambda t: SimpleNamespace(is_zero=False))
+    with pytest.raises(InvariantError, match="left the kernel"):
+        jl_element(h, 2)

@@ -9,10 +9,11 @@ import time
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jfilt import words
+from jfilt.automorphisms import compose, kernel_lift_tuple, phi_hat
 from jfilt.errors import PreconditionError, ValidationError
 from jfilt.words import (
     Alphabet,
@@ -235,6 +236,92 @@ def test_magnus_matches_the_per_letter_product(w, q):
     series = magnus_expand(w, q)
     assert series.terms == _reference_magnus(w, q).terms
     assert all(c != 0 and len(m) < q for m, c in series.terms.items())
+
+
+@st.composite
+def long_words(draw):
+    """Words of 40 to 80 letters at genus 1 to 3, so that prefixes fill every
+    degree: mostly runs of unit letters, with powers up to 7 and 1000 of
+    either sign among them."""
+    ab = Alphabet(draw(st.integers(1, 3)))
+    unit = st.sampled_from((1, -1))
+    power = st.integers(2, 7).flatmap(lambda e: st.sampled_from((e, -e)))
+    exponent = st.one_of(unit, unit, unit, power, st.sampled_from((1000, -1000)))
+    letter = st.tuples(st.integers(0, ab.size - 1), exponent)
+    return GroupWord(ab, tuple(draw(st.lists(letter, min_size=40, max_size=80))))
+
+
+def _seeded_long_word(seed, g, n):
+    """A reduced word of n letters, no two neighbours on one generator."""
+    rng = random.Random(seed)
+    exponents = (1, -1) * 3 + (2, -3, 5, -7, 1000, -1000)
+    letters = [(0, 1)]
+    while len(letters) < n:
+        gen = rng.randrange(2 * g)
+        if gen != letters[-1][0]:
+            letters.append((gen, rng.choice(exponents)))
+    return GroupWord(Alphabet(g), tuple(letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_words(), st.integers(2, 6))
+@example(_seeded_long_word(3, 3, 80), 6)
+def test_magnus_of_long_words_matches_the_per_letter_product(w, q):
+    assert magnus_expand(w, q).terms == _reference_magnus(w, q).terms
+
+
+def test_magnus_at_cutoff_2_is_the_abelianization():
+    # At q = 2 the trie is its root alone, whose children are the degree-1
+    # coefficients.
+    ab = Alphabet(3)
+    w = parse_word("x1 y2^-3 x1^-1 x3^1000 [x2, y3] y2 y1^-1 x3^-999", ab)
+    expected = {(): 1}
+    expected.update({(i,): e for i, e in enumerate(w.abelianization()) if e})
+    assert magnus_expand(w, 2).terms == expected == _reference_magnus(w, 2).terms
+    assert magnus_expand(GroupWord(ab), 2).terms == {(): 1}
+
+
+def test_magnus_of_the_largest_benchmark_product_collapses_to_few_terms():
+    # The 869-letter (2, 2) product of two conjugating factors: each image's
+    # long word expands to 2 to 5 terms below degree 4.
+    f = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    h = compose(f, f)
+    assert sum(len(w.letters) for w in h.images) == 869
+    for w, held in zip(h.images, h.series()):
+        series = magnus_expand(w, 4)
+        assert series == _reference_magnus(w, 4) == held
+        assert 2 <= len(series.terms) <= 5
+
+
+def test_magnus_raises_just_past_the_term_cap(monkeypatch):
+    # With positive exponents every coefficient is positive, so the trie
+    # holds exactly the terms of the result, the constant term included.
+    w = parse_word("x1 y1 x2 y2 x1 y2^3", Alphabet(2))
+    expected = _reference_magnus(w, 4)
+    cap = len(expected.terms)
+    monkeypatch.setattr(words, "MAX_SERIES_TERMS", cap)
+    assert magnus_expand(w, 4) == expected
+    monkeypatch.setattr(words, "MAX_SERIES_TERMS", cap - 1)
+    with pytest.raises(PreconditionError, match="would exceed %d terms" % (cap - 1)):
+        magnus_expand(w, 4)
+
+
+def test_substitution_raises_just_past_the_term_cap(monkeypatch):
+    # M(x1) with X1 -> M(x1 y1) - 1 below degree 3: the memo holds the empty
+    # prefix (1 term) and X1's value X1 + Y1 + X1Y1 (3 terms), and the result
+    # M(x1 y1) holds 4, so 8 terms in all.
+    ab = Alphabet(1)
+    images = [magnus_expand(parse_word("x1 y1", ab), 3), magnus_expand(parse_word("y1", ab), 3)]
+    series = [magnus_expand(parse_word("x1", ab), 3)]
+    monkeypatch.setattr(words, "MAX_SERIES_TERMS", 8)
+    assert words.substitute_series(series, images, 3) == (images[0],)
+    monkeypatch.setattr(words, "MAX_SERIES_TERMS", 7)
+    with pytest.raises(PreconditionError, match=r"would exceed 7 terms \(8 built\)"):
+        words.substitute_series(series, images, 3)
+    # Refused as X1's value is built, before the result.
+    monkeypatch.setattr(words, "MAX_SERIES_TERMS", 3)
+    with pytest.raises(PreconditionError, match=r"would exceed 3 terms \(4 built\)"):
+        words.substitute_series(series, images, 3)
 
 
 def substitutions():
