@@ -54,10 +54,11 @@ class NilAut:
     """Automorphism of the free class-``(q-1)`` nilpotent quotient, genus g.
 
     Queries read the Magnus series M(h(z_i)) below degree q, filled once
-    when first needed.  A composition substitutes its operands' series, an
-    inverse's corrections are given theirs, and every other automorphism,
-    a level reduction included, expands its own image words.  The words
-    serve I/O: a composition builds them only when ``images`` is read."""
+    when first needed.  The identity holds 1 + Z_i from the start, a
+    composition substitutes its operands' series, an inverse's corrections
+    are given theirs, and every other automorphism, a level reduction
+    included, expands its own image words.  The words serve I/O: a
+    composition or a correction builds them only when ``images`` is read."""
 
     def __init__(self, alphabet: Alphabet, level: int, images: Sequence[GroupWord]):
         if alphabet.kind != FULL:
@@ -76,7 +77,7 @@ class NilAut:
         self._hold(alphabet, int(level), images, matrix, None)
 
     def _hold(self, alphabet: Alphabet, level: int, images: Optional[Tuple[GroupWord, ...]],
-              matrix: Matrix, operands) -> "NilAut":
+              matrix: Matrix, fill) -> "NilAut":
         self.alphabet = alphabet
         self.level = level
         self._images = images
@@ -90,10 +91,11 @@ class NilAut:
         self._projected: Optional[List[Dict[Tuple[int, ...], int]]] = None
         # k -> (jl tensor, in_hat), filled by lagrangian.jl_element.
         self._jl: Dict[int, tuple] = {}
-        # (inner, outer) of a composition, whose words are outer's applied to
-        # inner's and whose series is inner's with outer's substituted; None
-        # for one built from words.  Dropped once both are held.
-        self._fill = operands
+        # (recipes, operands) of one built from others: recipes maps each of
+        # ``_images`` and ``_series`` that it was not given to a function of
+        # the operands, called once they hold theirs.  None for one built
+        # from words; dropped once both are held.
+        self._fill = fill
         return self
 
     @property
@@ -109,20 +111,21 @@ class NilAut:
             raise ValidationError("word over the wrong alphabet")
         return substitute(w, self.images)
 
-    def _walk(self, attr: str, combine):
-        """Fill ``attr`` (``_images`` or ``_series``) as ``combine(inner,
-        outer)``, operands first, from an explicit stack, so a long chain of
-        compositions does not recurse.  A missing series outside a
-        composition expands the words."""
+    def _walk(self, attr: str):
+        """Fill ``attr`` (``_images`` or ``_series``) by its recipe,
+        operands first, from an explicit stack, so a long chain of
+        compositions does not recurse.  A missing series of one built from
+        words expands them."""
         stack = [self]
         while stack:
             h = stack[-1]
             if getattr(h, attr) is None and h._fill is not None:
-                empty = [u for u in h._fill if getattr(u, attr) is None]
+                recipes, operands = h._fill
+                empty = [u for u in operands if getattr(u, attr) is None]
                 if empty:
                     stack.extend(empty)
                     continue
-                setattr(h, attr, combine(*h._fill))
+                setattr(h, attr, recipes[attr](*operands))
                 if h._images is not None and h._series is not None:
                     h._fill = None
             elif getattr(h, attr) is None:
@@ -132,15 +135,14 @@ class NilAut:
 
     @property
     def images(self) -> Tuple[GroupWord, ...]:
-        """The generator images as words.  A composition's are built on the
-        first read, each capped at MAX_WORD_LETTERS as it is built."""
-        return self._walk("_images", lambda inner, outer: tuple(
-            substitute(w, outer._images) for w in inner._images))
+        """The generator images as words.  A composition's or a correction's
+        are built on the first read, each capped at MAX_WORD_LETTERS as it is
+        built."""
+        return self._walk("_images")
 
     def series(self) -> Tuple[TruncatedSeries, ...]:
         """M(h(z_i)) below degree ``level``, one per generator."""
-        return self._walk("_series", lambda inner, outer: substitute_series(
-            inner._series, outer._series, inner.level))
+        return self._walk("_series")
 
     def projected_series(self, cutoff: int) -> List[Dict[Tuple[int, ...], int]]:
         """The terms of M(project_y(h(x_i))) below ``cutoff`` (at most the
@@ -157,7 +159,7 @@ class NilAut:
         if self._projected is not None:
             return [{m: c for m, c in t.items() if len(m) < cutoff} for t in self._projected]
         if self._series is None:
-            inner, outer = self._fill
+            inner, outer = self._fill[1]
             xs = [TruncatedSeries(self.alphabet, cutoff, s.terms) for s in inner.series()[:g]]
             return [s.terms for s in substitute_series(xs, _killed(outer.series(), cutoff), cutoff)]
         return [s.terms for s in _killed(self.series()[:g], cutoff)]
@@ -175,6 +177,22 @@ class NilAut:
         return "NilAut(g=%d, q=%d)" % (self.genus, self.level)
 
 
+# The recipes of a composition (inner, outer): its words are outer's applied
+# to inner's, its series is inner's with outer's substituted.
+_PRODUCT = {
+    "_images": lambda inner, outer: tuple(substitute(w, outer._images) for w in inner._images),
+    "_series": lambda inner, outer: substitute_series(inner._series, outer._series, inner.level),
+}
+
+
+def _letter_series(alphabet: Alphabet, q: int, e: int) -> Tuple[TruncatedSeries, ...]:
+    """M(z_i^e) below degree ``q`` for each generator z_i, with e = 1 or
+    -1: 1 + Z_i, or the sum of (-Z_i)^j over j < q."""
+    degrees = range(2) if e == 1 else range(q)
+    return tuple(TruncatedSeries(alphabet, q, {(i,) * j: e**j for j in degrees})
+                 for i in range(alphabet.size))
+
+
 def _killed(series: Sequence[TruncatedSeries], cutoff: int) -> List[TruncatedSeries]:
     """pi of each full-alphabet series below ``cutoff``, over the y-alphabet,
     pi killing every X-variable."""
@@ -185,19 +203,22 @@ def _killed(series: Sequence[TruncatedSeries], cutoff: int) -> List[TruncatedSer
 
 
 def _built(alphabet: Alphabet, level: int, images: Optional[Tuple[GroupWord, ...]], matrix: Matrix,
-           operands: Optional[Tuple[NilAut, NilAut]] = None) -> NilAut:
+           fill: Optional[tuple] = None) -> NilAut:
     """An automorphism made from checked ones (a composition, level reduction or
     inverse), whose abelianization ``matrix`` is unimodular by construction,
     so it is not checked again.  The level is: ``reduce_level`` and
     ``identity_aut`` take it from their caller."""
     if level < 2:
         raise ValidationError("level must be at least 2")
-    return object.__new__(NilAut)._hold(alphabet, level, images, matrix, operands)
+    return object.__new__(NilAut)._hold(alphabet, level, images, matrix, fill)
 
 
 def identity_aut(g: int, q: int) -> NilAut:
+    """The identity at level ``q``.  It holds its series 1 + Z_i from the
+    start, so its generator words are never expanded."""
     ab = Alphabet(g, FULL)
     h = _built(ab, q, tuple(generator(ab, i) for i in range(ab.size)), identity_matrix(ab.size))
+    h._series = _letter_series(ab, q, 1)
     h._aut0_known = True
     return h
 
@@ -217,7 +238,8 @@ def compose(h1: NilAut, h2: NilAut) -> NilAut:
         raise ValidationError("alphabet mismatch")
     if h1.level != h2.level:
         raise ValidationError("level mismatch")
-    out = _built(h1.alphabet, h1.level, None, matmul(h2._abelianization, h1._abelianization), (h2, h1))
+    out = _built(h1.alphabet, h1.level, None, matmul(h2._abelianization, h1._abelianization),
+                 (_PRODUCT, (h2, h1)))
     if h1._aut0_known is True and h2._aut0_known is True:
         # The boundary stabilizer is closed under composition.
         out._aut0_known = True
@@ -225,8 +247,8 @@ def compose(h1: NilAut, h2: NilAut) -> NilAut:
 
 
 def reduce_level(h: NilAut, q: int) -> NilAut:
-    """``h`` at the lower level ``q``.  Like any automorphism that is not a
-    composition, it expands its own words, here at ``q``, when first asked."""
+    """``h`` at the lower level ``q``.  Like one built from words, it
+    expands its own words, here at ``q``, when first asked."""
     if q > h.level:
         raise ValidationError("cannot raise the level")
     out = _built(h.alphabet, q, h.images, h._abelianization)
@@ -245,28 +267,36 @@ def invert_aut(h: NilAut) -> NilAut:
     composing ``g`` with ``z -> z * w_z^-1`` raises the agreement level,
     because corrections supported in weight >= m move words only by
     weight >= m+1 terms.  At most ``level`` rounds are needed.
+
+    An IA ``h`` starts from the identity, with which no round composes.
+    Each round works on series: a correction is given its series, and
+    builds its words from the error's only when the inverse's ``images`` is
+    read, so an inverse past MAX_WORD_LETTERS is found, and refused there.
     """
     ab, q = h.alphabet, h.level
     dec = smith_normal_form(h._abelianization)
     inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
-    starts = tuple(GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e))
-                   for row in inverse_matrix)
-    g = _built(ab, q, starts, inverse_matrix)
     ident = identity_aut(h.genus, q)
-    inverses = [magnus_expand(z.inverse(), q) for z in ident.images]
+    if inverse_matrix == ident._abelianization:
+        g = ident
+    else:
+        g = _built(ab, q, tuple(GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e))
+                                for row in inverse_matrix), inverse_matrix)
+    inverses = _letter_series(ab, q, -1)
+    # A correction's words z w_z^-1 z, from its error's words z w_z.
+    words = {"_images": lambda err: tuple(z * w.inverse() * z for z, w in zip(ident.images, err._images))}
     for _ in range(q):
-        err = compose(h, g)
+        err = h if g is ident else compose(h, g)
         if err == ident:
             break
         # z * w_z^-1 with w_z = z^-1 err(z).  err is the identity on homology
         # (A(h o g) = A^-1 A), so the correction is too.  Its series is
         # (1 + Z) M(err(z))^-1 (1 + Z), and M(err(z))^-1 is M(z^-1) with err's
         # series substituted.
-        corr = _built(ab, q, tuple(z * w.inverse() * z for z, w in zip(ident.images, err.images)),
-                      identity_matrix(ab.size))
+        corr = _built(ab, q, None, identity_matrix(ab.size), (words, (err,)))
         corr._series = tuple(z * w * z for z, w in zip(ident.series(),
                                                        substitute_series(inverses, err.series(), q)))
-        g = compose(g, corr)
+        g = corr if g is ident else compose(g, corr)
     else:
         raise InvariantError("inverse iteration failed to converge")
     if h._aut0_known is True:

@@ -121,10 +121,17 @@ def cocycle_check(h1: NilAut, h2: NilAut, k: int) -> bool:
     of ``h1`` on the y-span.  The first term redistributes the strand index
     through ``h2``'s x-letters; the second pushes ``h2``'s obstruction
     through the substitution ``y -> h1(y)``.
+
+    The product's tensor is taken first: its projection fills both
+    operands' series, which their own projections then read, so no
+    projected word is expanded.  Operands that do not compose report their
+    own preconditions before the mismatch.
     """
+    if h1.level != h2.level or h1.alphabet != h2.alphabet:
+        jl_element(h1, k), jl_element(h2, k)
+    j12 = jl_element(compose(h1, h2), k).value
     j1 = jl_element(h1, k).value
     j2 = jl_element(h2, k).value
-    j12 = jl_element(compose(h1, h2), k).value
     g = h1.genus
     predicted = map_tensor_first(transpose(_block(h2, slice(0, g))), j1) + map_tensor_second(
         _block(h1, slice(g, 2 * g)), j2

@@ -516,10 +516,14 @@ def magnus_expand(w: GroupWord, q: int) -> TruncatedSeries:
 
 
 def nilpotent_equal(u: GroupWord, v: GroupWord, q: int) -> bool:
-    """Exact equality in the free nilpotent quotient of class q - 1."""
+    """Exact equality in the free nilpotent quotient of class q - 1.  Equal
+    reduced words are the same group element, so they are equal without
+    being expanded; any other pair compares its two expansions."""
     if u.alphabet != v.alphabet:
         raise ValidationError("alphabet mismatch")
-    return magnus_expand(u, q) == magnus_expand(v, q)
+    if q < 2:
+        raise PreconditionError("cutoff must be at least 2")
+    return u.letters == v.letters or magnus_expand(u, q) == magnus_expand(v, q)
 
 
 def lcs_weight(w: GroupWord, qmax: int) -> int:

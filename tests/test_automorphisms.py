@@ -41,6 +41,7 @@ from jfilt.automorphisms import (
     tuples_equal,
     validate_tuple,
 )
+from jfilt.automorphisms import _letter_series
 from jfilt.brackets import bracket_map, dk_basis, dk_rank, embed_tensor, tensor_from_components
 from jfilt.errors import PreconditionError, ValidationError
 from jfilt.lagrangian import jl_element, lagrangian_degree
@@ -328,12 +329,82 @@ def test_projected_series_of_an_unfilled_product_agrees_with_both_other_routes(g
 @pytest.mark.parametrize("g, k", [(g, k) for g in (1, 2, 3) for k in (1, 2)])
 def test_inverse_series_from_corrections_matches_its_words(g, k):
     # The corrections' series come from the error series, not their words.
-    # At k = 2 the products' inverses have words past the letter cap.
+    # Above genus 1 the k = 2 products' inverses have words past the letter
+    # cap: they are still found from series, and refused only when read.
     a, b = _mixed_products(g, k)[0]
-    for h in [a, b] + ([compose(a, b), compose(b, a)] if k == 1 else []):
+    for h in [a, b, compose(a, b), compose(b, a)]:
         inv = invert_aut(h)
-        assert inv.series() == tuple(magnus_expand(w, h.level) for w in inv.images)
         assert compose(h, inv) == compose(inv, h) == identity_aut(g, h.level)
+        if g > 1 and k == 2 and h not in (a, b):
+            with pytest.raises(ValidationError, match="would exceed"):
+                inv.images
+        else:
+            assert inv.series() == tuple(magnus_expand(w, h.level) for w in inv.images)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_identity_and_inverse_letters_hold_their_series(g):
+    ab = Alphabet(g, FULL)
+    for q in range(2, 7):
+        e = identity_aut(g, q)
+        assert e._series is not None
+        assert e.series() == tuple(magnus_expand(w, q) for w in e.images)
+        z = [generator(ab, i) for i in range(ab.size)]
+        assert _letter_series(ab, q, 1) == tuple(magnus_expand(w, q) for w in z)
+        assert _letter_series(ab, q, -1) == tuple(magnus_expand(w.inverse(), q) for w in z)
+
+
+def test_inverting_an_ia_automorphism_expands_only_its_own_words(monkeypatch):
+    # The identity start, the identity's series and M(z^-1) are held, so the
+    # only expansions are of h's own images, none of one letter or none.
+    h = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    assert h.abelianization() == identity_matrix(4)
+    assert all(len(w.letters) > 1 for w in h.images)
+    expanded = []
+    real = jfilt.automorphisms.magnus_expand
+    monkeypatch.setattr(jfilt.automorphisms, "magnus_expand", lambda w, q: expanded.append(w) or real(w, q))
+    inv = invert_aut(h)
+    assert compose(h, inv) == compose(inv, h) == identity_aut(2, h.level)
+    assert expanded and all(any(w is v for v in h.images) for w in expanded)
+    del expanded[:]
+    assert compose(h, invert_aut(h)) == identity_aut(2, h.level)
+    assert expanded == []  # h's series is held now
+
+
+def test_inverting_the_identity_returns_the_identity():
+    for h in (identity_aut(2, 4), NilAut(Alphabet(2, FULL), 4, identity_aut(2, 4).images)):
+        inv = invert_aut(h)
+        assert [w.letters for w in inv.images] == [w.letters for w in h.images]
+        assert inv == identity_aut(2, 4)
+
+
+def test_invert_builds_no_words_until_images_is_read(monkeypatch):
+    # Not IA, so the start is a lift of the inverse matrix, and the errors
+    # and the inverse are compositions whose words are substitutions.
+    h = compose(phi_hat(random_kernel_tuple(random.Random(3), 2, 1)), psi_hat(full_twist_tuple(2, 3, 1, X_ONLY)))
+    substituted = []
+    real = jfilt.automorphisms.substitute
+    monkeypatch.setattr(jfilt.automorphisms, "substitute", lambda w, images: substituted.append(w) or real(w, images))
+    inv = invert_aut(h)
+    check_aut0(inv), filtration_degree(inv), jl_element(inv, 1)
+    assert compose(h, inv) == compose(inv, h) == identity_aut(2, h.level)
+    assert substituted == []
+    words = inv.images
+    assert substituted
+    assert inv.images is words  # built once
+    assert inv.series() == tuple(magnus_expand(w, h.level) for w in words)
+
+
+def test_inverting_a_chain_of_8_compositions_is_answered_from_series():
+    # Its inverse's words would pass the letter cap; its series do not.
+    f = phi_hat(random_kernel_tuple(random.Random(5), 2, 2))
+    h = functools.reduce(compose, [f] * 8)
+    inv = invert_aut(h)
+    e = identity_aut(2, h.level)
+    assert compose(h, inv) == e and compose(inv, h) == e
+    assert inv == functools.reduce(compose, [invert_aut(f)] * 8)
+    with pytest.raises(ValidationError, match="would exceed"):
+        inv.images
 
 
 def test_reduce_level_commutes_with_compose():
@@ -605,6 +676,20 @@ def test_product_condition_examples():
     ab = Alphabet(2, Y_ONLY)
     bad = LongitudeTuple(2, 2, Y_ONLY, (generator(ab, 1), GroupWord(ab)))
     assert not validate_tuple(bad)
+
+
+def test_framing_and_twist_tuples_are_validated_without_expansion(monkeypatch):
+    # Their conjugation action fixes the strand product as a reduced word.
+    expanded = []
+    real = jfilt.words.magnus_expand
+    monkeypatch.setattr(jfilt.words, "magnus_expand", lambda w, q: expanded.append(w) or real(w, q))
+    for kind in (Y_ONLY, X_ONLY):
+        for g in (1, 2, 3):
+            assert validate_tuple(framing_tuple(g, 4, [2, -1, 3][:g], kind))
+            assert validate_tuple(full_twist_tuple(g, 4, -2, kind))
+    assert expanded == []
+    assert not validate_tuple(LongitudeTuple(2, 3, Y_ONLY, (generator(Alphabet(2, Y_ONLY), 1), GroupWord(Alphabet(2, Y_ONLY)))))
+    assert expanded
 
 
 def test_conjugation_action_and_strand_product():

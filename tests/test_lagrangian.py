@@ -19,7 +19,7 @@ from jfilt.automorphisms import (
     random_kernel_tuple,
 )
 from jfilt.brackets import bracket_map, embed_tensor, tensor_from_components
-from jfilt.errors import InvariantError, PreconditionError
+from jfilt.errors import InvariantError, PreconditionError, ValidationError
 from jfilt.lagrangian import (
     cocycle_check,
     gap_closed_form,
@@ -274,6 +274,30 @@ def test_both_cocycle_orders_project_each_automorphism_once(monkeypatch):
     assert [cutoff for _, cutoff in projected] == [4] * 4
     assert len({id(h) for h, _ in projected}) == 4
     assert {id(h1), id(h2)} <= {id(h) for h, _ in projected}
+
+
+def test_cocycle_check_expands_no_projected_word(monkeypatch):
+    # The product's projection fills both operands' series first; theirs
+    # are then read from those series.
+    h1 = phi_hat(kernel_lift_tuple(2, 2, [1]))
+    h2 = psi_hat(framing_tuple(2, 4, [1, -1], X_ONLY))
+    expanded = []
+    real = jfilt.automorphisms.magnus_expand
+    monkeypatch.setattr(jfilt.automorphisms, "magnus_expand", lambda w, q: expanded.append(w) or real(w, q))
+    assert cocycle_check(h1, h2, 2) and cocycle_check(h2, h1, 2)
+    assert all(w.alphabet == h1.alphabet for w in expanded)
+    assert len(expanded) == 8  # each operand's own words, once
+
+
+def test_cocycle_of_operands_at_two_levels_reports_their_preconditions_first():
+    f = phi_hat(kernel_lift_tuple(2, 2, [1]))  # level 4
+    low = identity_aut(2, 3)
+    with pytest.raises(PreconditionError, match="level 3 is below"):
+        cocycle_check(low, f, 2)
+    with pytest.raises(PreconditionError, match="level 3 is below"):
+        cocycle_check(f, low, 2)
+    with pytest.raises(ValidationError, match="level mismatch"):
+        cocycle_check(f, identity_aut(2, 5), 2)
 
 
 def test_a_held_jl_element_is_still_checked_against_the_kernel(monkeypatch):

@@ -115,6 +115,24 @@ def test_nilpotent_equal_detects_abelian_and_deeper_levels():
     assert not nilpotent_equal(x1 * y1, y1 * x1, 3)
 
 
+def test_nilpotent_equal_of_equal_words_expands_nothing(monkeypatch):
+    expanded = []
+    real = words.magnus_expand
+    monkeypatch.setattr(words, "magnus_expand", lambda w, q: expanded.append(w) or real(w, q))
+    x1, y1 = generator(FULL1, 0), generator(FULL1, 1)
+    u = commutator(x1, y1) ** 3 * x1
+    assert nilpotent_equal(u, parse_word("[x1, y1]^3 x1", FULL1), 5)
+    assert nilpotent_equal(GroupWord(FULL1), x1 * x1.inverse(), 5)
+    assert expanded == []
+    # Words in different classes are both expanded and told apart.
+    deeper = u * commutator(commutator(x1, y1), y1)
+    assert not nilpotent_equal(u, deeper, 4)
+    assert expanded == [u, deeper]
+    assert nilpotent_equal(u, deeper, 3)
+    with pytest.raises(PreconditionError):
+        nilpotent_equal(u, u, 1)
+
+
 def test_magnus_constant_term_is_one():
     for w in (GroupWord(FULL2), omega(2), generator(FULL2, 1) ** -3):
         assert magnus_expand(w, 4).terms[()] == 1
