@@ -30,7 +30,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import TensorElement, bracket_map, dk_basis, dk_rank, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError
 from .lie import LieElement, hall_basis, lift_lie_element, tensor_to_lyndon
-from .snf import Matrix, identity_matrix, invariant_factors, matmul, smith_normal_form, transpose
+from .snf import (
+    Matrix,
+    identity_matrix,
+    invariant_factors,
+    is_identity_matrix,
+    matmul,
+    smith_normal_form,
+    transpose,
+)
 from .words import (
     FULL,
     X_ONLY,
@@ -72,7 +80,7 @@ class NilAut:
                 raise ValidationError("image over the wrong alphabet")
         images = tuple(images)
         matrix = [list(w.abelianization()) for w in images]
-        if invariant_factors(matrix) != [1] * len(matrix):
+        if not is_identity_matrix(matrix) and invariant_factors(matrix) != [1] * len(matrix):
             raise ValidationError("abelianization is not invertible over the integers")
         self._hold(alphabet, int(level), images, matrix, None)
 
@@ -185,9 +193,11 @@ _PRODUCT = {
 }
 
 
+@lru_cache(maxsize=None)
 def _letter_series(alphabet: Alphabet, q: int, e: int) -> Tuple[TruncatedSeries, ...]:
     """M(z_i^e) below degree ``q`` for each generator z_i, with e = 1 or
-    -1: 1 + Z_i, or the sum of (-Z_i)^j over j < q."""
+    -1: 1 + Z_i, or the sum of (-Z_i)^j over j < q.  Built once per
+    (alphabet, q, e) and shared: no caller changes a series."""
     degrees = range(2) if e == 1 else range(q)
     return tuple(TruncatedSeries(alphabet, q, {(i,) * j: e**j for j in degrees})
                  for i in range(alphabet.size))
@@ -213,11 +223,19 @@ def _built(alphabet: Alphabet, level: int, images: Optional[Tuple[GroupWord, ...
     return object.__new__(NilAut)._hold(alphabet, level, images, matrix, fill)
 
 
+@lru_cache(maxsize=None)
+def _identity_parts(alphabet: Alphabet) -> Tuple[Tuple[GroupWord, ...], Matrix]:
+    """The identity's generator words and matrix, built once per alphabet
+    and shared: no caller changes them."""
+    return tuple(generator(alphabet, i) for i in range(alphabet.size)), identity_matrix(alphabet.size)
+
+
 def identity_aut(g: int, q: int) -> NilAut:
     """The identity at level ``q``.  It holds its series 1 + Z_i from the
-    start, so its generator words are never expanded."""
+    start, so its generator words are never expanded.  Each call hands out
+    a fresh automorphism, whose memos are its own, over shared parts."""
     ab = Alphabet(g, FULL)
-    h = _built(ab, q, tuple(generator(ab, i) for i in range(ab.size)), identity_matrix(ab.size))
+    h = _built(ab, q, *_identity_parts(ab))
     h._series = _letter_series(ab, q, 1)
     h._aut0_known = True
     return h
@@ -233,13 +251,15 @@ def compose(h1: NilAut, h2: NilAut) -> NilAut:
     """``z -> h1(h2(z))``: h1 applies last, an order every formula
     downstream assumes.  It records its operands and builds no words: its
     series is h2's with Z_j replaced by M(h1(z_j)) - 1, and its words, built
-    when ``images`` is first read, are h1 applied to h2's."""
+    when ``images`` is first read, are h1 applied to h2's.  Its matrix is
+    the product of theirs, or the other's where one is the identity."""
     if h1.alphabet != h2.alphabet:
         raise ValidationError("alphabet mismatch")
     if h1.level != h2.level:
         raise ValidationError("level mismatch")
-    out = _built(h1.alphabet, h1.level, None, matmul(h2._abelianization, h1._abelianization),
-                 (_PRODUCT, (h2, h1)))
+    a, b = h2._abelianization, h1._abelianization
+    matrix = b if is_identity_matrix(a) else a if is_identity_matrix(b) else matmul(a, b)
+    out = _built(h1.alphabet, h1.level, None, matrix, (_PRODUCT, (h2, h1)))
     if h1._aut0_known is True and h2._aut0_known is True:
         # The boundary stabilizer is closed under composition.
         out._aut0_known = True
@@ -268,18 +288,19 @@ def invert_aut(h: NilAut) -> NilAut:
     because corrections supported in weight >= m move words only by
     weight >= m+1 terms.  At most ``level`` rounds are needed.
 
-    An IA ``h`` starts from the identity, with which no round composes.
-    Each round works on series: a correction is given its series, and
-    builds its words from the error's only when the inverse's ``images`` is
-    read, so an inverse past MAX_WORD_LETTERS is found, and refused there.
+    An IA ``h`` starts from the identity, with which no round composes,
+    and needs no Smith form of its identity matrix.  Each round works on
+    series: a correction is given its series, and builds its words from the
+    error's only when the inverse's ``images`` is read, so an inverse past
+    MAX_WORD_LETTERS is found, and refused there.
     """
     ab, q = h.alphabet, h.level
-    dec = smith_normal_form(h._abelianization)
-    inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
     ident = identity_aut(h.genus, q)
-    if inverse_matrix == ident._abelianization:
+    if is_identity_matrix(h._abelianization):
         g = ident
     else:
+        dec = smith_normal_form(h._abelianization)
+        inverse_matrix = matmul(dec.V, dec.U)  # U A V = I, so A^-1 = V U
         g = _built(ab, q, tuple(GroupWord(ab, tuple((j, e) for j, e in enumerate(row) if e))
                                 for row in inverse_matrix), inverse_matrix)
     inverses = _letter_series(ab, q, -1)
@@ -293,7 +314,7 @@ def invert_aut(h: NilAut) -> NilAut:
         # (A(h o g) = A^-1 A), so the correction is too.  Its series is
         # (1 + Z) M(err(z))^-1 (1 + Z), and M(err(z))^-1 is M(z^-1) with err's
         # series substituted.
-        corr = _built(ab, q, None, identity_matrix(ab.size), (words, (err,)))
+        corr = _built(ab, q, None, ident._abelianization, (words, (err,)))
         corr._series = tuple(z * w * z for z, w in zip(ident.series(),
                                                        substitute_series(inverses, err.series(), q)))
         g = corr if g is ident else compose(g, corr)
@@ -561,6 +582,10 @@ def aut_to_json(h: NilAut) -> dict:
 
 
 def aut_from_json(data: dict) -> NilAut:
+    """Read ``{"g", "q", "images"}``; ``images`` must name each generator of
+    genus g once and nothing else."""
+    if not isinstance(data, dict):
+        raise ValidationError("bad automorphism payload: expected a JSON object")
     try:
         g = int(data["g"])
         q = int(data["q"])
@@ -570,6 +595,13 @@ def aut_from_json(data: dict) -> NilAut:
     if not isinstance(raw, dict):
         raise ValidationError("bad automorphism payload: images must be an object")
     ab = Alphabet(g, FULL)
+    for key in raw:
+        try:
+            known = ab.name(ab.index(key)) == key
+        except (TypeError, ValidationError):
+            known = False
+        if not known:
+            raise ValidationError("image key %r names no generator of genus %d" % (key, g))
     images = []
     for i in range(ab.size):
         name = ab.name(i)

@@ -41,7 +41,7 @@ from .lie import (
     lyndon_bracket,
     witt_dimension,
 )
-from .snf import Matrix, Row, eliminate
+from .snf import Matrix, Row, eliminate, is_identity_matrix
 
 # Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
 # its kernel basis takes about 0.03 s (`jfilt dk basis 6 3`, which prints
@@ -224,11 +224,14 @@ def map_tensor_first(matrix: Sequence[Sequence[int]], t: TensorElement) -> Tenso
     ``matrix`` is the ``n x n`` integer matrix of a lattice map written on
     generators (row ``i`` lists the coordinates of the image of ``e_i``); the
     induced substitution on the first tensor factor sends the coefficient
-    vector ``c_a`` to ``sum_a matrix[a][m] c_a`` at slot ``m``.
+    vector ``c_a`` to ``sum_a matrix[a][m] c_a`` at slot ``m``.  The
+    identity returns ``t`` itself.
     """
     n = t.n
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValidationError("matrix shape does not match the tensor rank")
+    if is_identity_matrix(matrix):
+        return t
     out: Dict[Tuple[int, Monomial], int] = {}
     for (a, u), c in t.terms.items():
         for m, f in enumerate(matrix[a]):
@@ -238,7 +241,10 @@ def map_tensor_first(matrix: Sequence[Sequence[int]], t: TensorElement) -> Tenso
 
 
 def map_tensor_second(matrix: Sequence[Sequence[int]], t: TensorElement) -> TensorElement:
-    """Transform the Lie factor by the ring map induced by ``matrix``."""
+    """Transform the Lie factor by the ring map induced by ``matrix``.  The
+    identity returns ``t`` itself."""
+    if len(matrix) == t.n and is_identity_matrix(matrix):
+        return t
     parts = {a: lie_map(matrix, t.component(a), t.n) for a in range(t.n)}
     return tensor_from_components(t.n, t.level, parts)
 

@@ -35,7 +35,7 @@ from .brackets import (
 )
 from .errors import InvariantError, PreconditionError
 from .lie import tensor_to_lyndon, witt_dimension
-from .snf import Matrix, identity_matrix, transpose
+from .snf import Matrix, is_identity_matrix, transpose
 
 __all__ = [
     "LagrangianReport",
@@ -99,7 +99,7 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
             top = {m: c for m, c in terms.items() if len(m) == k + 1}
             classes[i] = tensor_to_lyndon(top, g, k + 1)
         held = h._jl[k] = (tensor_from_components(g, k, classes),
-                           _block(h, slice(g, 2 * g)) == identity_matrix(g))
+                           is_identity_matrix(_block(h, slice(g, 2 * g))))
     value, in_hat = held
     if in_hat and h._aut0_known is True:
         # Kernel membership is a theorem for boundary-fixing elements with

@@ -57,6 +57,12 @@ def identity_matrix(n: int) -> Matrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
+def is_identity_matrix(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether ``matrix`` is a square identity, found without building one."""
+    n = len(matrix)
+    return all(len(row) == n and row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(matrix))
+
+
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]

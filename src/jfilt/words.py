@@ -637,9 +637,19 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
     return GroupWord(alphabet, tuple(out))
 
 
+@lru_cache(maxsize=None)
+def _name_table(alphabet: Alphabet) -> Dict[int, str]:
+    """Letter index -> generator name, filled by ``render_word`` with each
+    index it has named, so a large genus costs nothing up front."""
+    return {}
+
+
 def render_word(w: GroupWord) -> str:
+    table = _name_table(w.alphabet)
     parts = []
     for gen, exp in w.letters:
-        name = w.alphabet.name(gen)
+        name = table.get(gen)
+        if name is None:
+            name = table[gen] = w.alphabet.name(gen)
         parts.append(name if exp == 1 else "%s^%d" % (name, exp))
     return " ".join(parts)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import jfilt.automorphisms
 import jfilt.brackets
+import jfilt.snf
 import jfilt.words
 
 from jfilt.automorphisms import (
@@ -44,7 +45,7 @@ from jfilt.automorphisms import (
 from jfilt.automorphisms import _letter_series
 from jfilt.brackets import bracket_map, dk_basis, dk_rank, embed_tensor, tensor_from_components
 from jfilt.errors import PreconditionError, ValidationError
-from jfilt.lagrangian import jl_element, lagrangian_degree
+from jfilt.lagrangian import cocycle_check, jl_element, lagrangian_degree
 from jfilt.lie import graded_class
 from jfilt.snf import identity_matrix, matmul
 from jfilt.words import (
@@ -405,6 +406,105 @@ def test_inverting_a_chain_of_8_compositions_is_answered_from_series():
     assert inv == functools.reduce(compose, [invert_aut(f)] * 8)
     with pytest.raises(ValidationError, match="would exceed"):
         inv.images
+
+
+def count_matrix_work(monkeypatch):
+    """Count the Smith eliminations, the automorphisms' matrix products and
+    the Lie substitutions of the tensor actions from here on."""
+    calls = {"eliminate": 0, "matmul": 0, "lie_map": 0}
+    for module, name in ((jfilt.snf, "eliminate"), (jfilt.automorphisms, "matmul"), (jfilt.brackets, "lie_map")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def ia_pair(g, k):
+    rng = random.Random(10 * g + k)
+    return phi_hat(random_kernel_tuple(rng, g, k)), phi_hat(random_kernel_tuple(rng, g, k))
+
+
+@pytest.mark.parametrize("g,k", [(2, 1), (2, 2), (3, 1)])
+def test_ia_automorphisms_need_no_matrix_work(monkeypatch, g, k):
+    calls = count_matrix_work(monkeypatch)
+    a, b = ia_pair(g, k)
+    c = compose(a, b)
+    inv = invert_aut(c)
+    e = identity_aut(g, c.level)
+    assert compose(c, inv) == e and compose(inv, c) == e
+    assert cocycle_check(a, b, k) and cocycle_check(b, a, k)
+    assert c.abelianization() == inv.abelianization() == identity_matrix(2 * g)
+    assert calls == {"eliminate": 0, "matmul": 0, "lie_map": 0}
+
+
+def test_matrices_other_than_the_identity_take_the_matrix_path(monkeypatch):
+    calls = count_matrix_work(monkeypatch)
+    framed = psi_hat(framing_tuple(2, 4, [1, -1], X_ONLY))
+    assert calls["eliminate"] == 1  # the constructor's Smith check
+    ab = Alphabet(2, FULL)
+    x1, x2, y1, y2 = (generator(ab, i) for i in range(4))
+    t = NilAut(ab, 4, [x1 * x2, x2, y1, y2])  # the transvection x1 -> x1 x2
+    assert calls["eliminate"] == 2
+    inv = invert_aut(t)
+    assert calls["eliminate"] == 3  # its Smith form
+    assert compose(t, inv) == identity_aut(2, 4)
+    assert calls["matmul"] > 0
+    matmuls = calls["matmul"]
+    assert compose(t, framed).abelianization() == matmul(framed.abelianization(), t.abelianization())
+    assert calls["matmul"] == matmuls + 1
+    with pytest.raises(ValidationError, match="not invertible"):
+        NilAut(ab, 4, [x1 ** 2, x2, y1, y2])
+    assert calls["eliminate"] == 4
+
+
+def early_return_outcomes():
+    """What compose, invert_aut, identity_aut and the tensor actions of
+    cocycle_check give on IA and non-IA automorphisms."""
+    out = []
+    for g, k in ((2, 1), (2, 2), (3, 1)):
+        ia, other = ia_pair(g, k)
+        framed = psi_hat(framing_tuple(g, k + 2, [(-1) ** i for i in range(g)], X_ONLY))
+        twisted = psi_hat(full_twist_tuple(g, k + 2, 1, X_ONLY))
+        hs = (ia, other, framed, twisted, compose(ia, framed))
+        for a in hs:
+            inv = invert_aut(a)
+            out.append((inv.abelianization(), inv.series(), [w.letters for w in inv.images]))
+            for b in hs:
+                c = compose(a, b)
+                out.append((c.abelianization(), c.series()))
+                j = jl_element(b, k).value
+                for side in (slice(0, g), slice(g, 2 * g)):
+                    block = [row[side] for row in a.abelianization()[side]]
+                    out.append((jfilt.brackets.map_tensor_first(block, j),
+                                jfilt.brackets.map_tensor_second(block, j)))
+        e = identity_aut(g, k + 2)
+        out.append((e.abelianization(), e.series(), [w.letters for w in e.images]))
+    return out
+
+
+def test_early_returns_give_what_the_general_path_gives(monkeypatch):
+    fast = early_return_outcomes()
+    for module in (jfilt.automorphisms, jfilt.brackets):
+        monkeypatch.setattr(module, "is_identity_matrix", lambda matrix: False)
+    jfilt.automorphisms._identity_parts.cache_clear()
+    jfilt.automorphisms._letter_series.cache_clear()
+    slow = early_return_outcomes()
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a == b
+
+
+def test_each_identity_is_a_fresh_automorphism_over_shared_parts():
+    a, b = identity_aut(2, 4), identity_aut(2, 4)
+    assert a is not b and a._jl is not b._jl
+    assert a.images is b.images and a.series() is b.series()
+    jl_element(a, 1)
+    assert a._jl and not b._jl
+    ab = Alphabet(2, FULL)
+    built = NilAut(ab, 4, [generator(ab, i) for i in range(4)])
+    assert a == built and a.abelianization() == built.abelianization()
+    assert identity_aut(2, 3).series() != a.series()
 
 
 def test_reduce_level_commutes_with_compose():
@@ -826,6 +926,20 @@ def test_tuple_json_round_trip():
     back = tuple_from_json(d)
     assert tuples_equal(back, t)
     assert all(u == v for u, v in zip(back.entries, t.entries))
+
+
+@pytest.mark.parametrize("key", ["x2", "y2", "x01", "z1", "x0"])
+def test_aut_json_rejects_a_key_that_names_no_generator(key):
+    d = aut_to_json(transvection(3))
+    d["images"][key] = "x1"
+    with pytest.raises(ValidationError, match="image key '%s' names no generator of genus 1" % key):
+        aut_from_json(d)
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
+def test_aut_json_rejects_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(ValidationError, match="^bad automorphism payload: expected a JSON object$"):
+        aut_from_json(payload)
 
 
 def test_aut_json_rejects_missing_image():

@@ -216,6 +216,23 @@ def test_non_unimodular_automorphism_exits_2(capsys, tmp_path):
     assert "not invertible over the integers" in err
 
 
+def test_image_keys_that_name_no_generator_exit_2(capsys, tmp_path):
+    # Declared genus 1, with the images of a genus-2 automorphism.
+    path = write_json(tmp_path, "h.json", {"g": 1, "q": 3, "images": {
+        "x1": "x1 [x1,y1]", "y1": "y1", "x2": "x2 [x1,y2]", "y2": "y2"}})
+    for argv in (["aut", "degree", path], ["aut", "compose", path, path]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "image key 'x2' names no generator of genus 1" in err
+
+
+def test_an_automorphism_file_that_is_not_an_object_exits_2(capsys, tmp_path):
+    path = write_json(tmp_path, "h.json", [1, 2])
+    code, out, err = invoke(capsys, "aut", "degree", path)
+    assert code == 2 and out == ""
+    assert "expected a JSON object" in err and "list indices" not in err
+
+
 @pytest.mark.parametrize("level", ["1", "0", "-3"])
 def test_level_below_2_exits_2(capsys, tmp_path, level):
     path = write_json(tmp_path, "h.json", aut_to_json(kernel_aut()))
