@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_basis, dk_rank, tensor_from_components
-from .errors import InvariantError, PreconditionError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
 from .lie import LieElement, hall_basis, lift_lie_element, tensor_to_lyndon
 from .snf import (
     Matrix,
@@ -113,11 +113,6 @@ class NilAut:
     def abelianization(self) -> Matrix:
         """Rows are the exponent vectors of the generator images."""
         return [list(row) for row in self._abelianization]
-
-    def apply(self, w: GroupWord) -> GroupWord:
-        if w.alphabet != self.alphabet:
-            raise ValidationError("word over the wrong alphabet")
-        return substitute(w, self.images)
 
     def _walk(self, attr: str):
         """Fill ``attr`` (``_images`` or ``_series``) by its recipe,
@@ -584,16 +579,7 @@ def aut_to_json(h: NilAut) -> dict:
 def aut_from_json(data: dict) -> NilAut:
     """Read ``{"g", "q", "images"}``; ``images`` must name each generator of
     genus g once and nothing else."""
-    if not isinstance(data, dict):
-        raise ValidationError("bad automorphism payload: expected a JSON object")
-    try:
-        g = int(data["g"])
-        q = int(data["q"])
-        raw = data["images"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad automorphism payload: %s" % (exc,))
-    if not isinstance(raw, dict):
-        raise ValidationError("bad automorphism payload: images must be an object")
+    g, q, raw = payload_fields(data, "automorphism", g=int, q=int, images=dict)
     ab = Alphabet(g, FULL)
     for key in raw:
         try:
@@ -621,20 +607,12 @@ def tuple_to_json(t: LongitudeTuple) -> dict:
 
 
 def tuple_from_json(data: dict) -> LongitudeTuple:
-    try:
-        g = int(data["g"])
-        q = int(data["q"])
-        kind = data.get("kind", Y_ONLY)
-        raw = data["entries"]
-        if len(raw) != g:
-            raise ValidationError("need exactly g entries")
-        ab = Alphabet(g, kind)
-        entries = tuple(parse_word(text, ab) for text in raw)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad tuple payload: %s" % (exc,))
-    return LongitudeTuple(g, q, kind, entries)
+    """Read ``{"g", "q", "entries"}`` and an optional ``kind``;
+    ``LongitudeTuple`` checks that there is one entry per strand."""
+    g, q, raw = payload_fields(data, "tuple", g=int, q=int, entries=list)
+    kind = data.get("kind", Y_ONLY)
+    ab = Alphabet(g, kind)
+    return LongitudeTuple(g, q, kind, tuple(parse_word(text, ab) for text in raw))
 
 
 # ---------------------------------------------------------------------------

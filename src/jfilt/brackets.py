@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvariantError, PreconditionError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
 from .lie import (
     LieElement,
     Monomial,
@@ -256,13 +256,9 @@ def tensor_to_json(t: TensorElement) -> dict:
 def tensor_from_json(data: dict) -> TensorElement:
     """The one dense reader: ``coords`` is a list in the layout of
     ``TensorElement.coords``."""
-    try:
-        n, level, coords = int(data["n"]), int(data["k"]), data["coords"]
-        if not isinstance(coords, list):
-            raise TypeError("coords must be a list")
-        values = [int(c) for c in coords]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad tensor element payload: %s" % (exc,))
+    n, level, values = payload_fields(data, "tensor element", n=int, k=int, coords=list)
+    if not all(type(c) is int for c in values):
+        raise ValidationError("bad tensor element payload: coords must be integers")
     expected = n * witt_dimension(n, level + 1)
     if len(values) != expected:
         raise ValidationError(

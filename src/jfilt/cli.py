@@ -412,10 +412,7 @@ def run(argv: List[str]) -> int:
             return _cmd_graph(args)
         elif args.command == "selftest":
             return _cmd_selftest(args)
-    except NotOrientable as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (NotOrientable, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except PreconditionError as exc:

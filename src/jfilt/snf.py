@@ -99,22 +99,6 @@ class SmithDecomposition:
     V: Matrix
     diagonal: List[int]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    def kernel_basis(self) -> Matrix:
-        """Columns of ``V`` at zero diagonal positions: a saturated kernel basis.
-
-        Returned as a list of column vectors (each of length ``cols``).
-        """
-        out = []
-        for j in range(self.cols):
-            d = self.diagonal[j] if j < len(self.diagonal) else 0
-            if d == 0:
-                out.append([self.V[i][j] for i in range(self.cols)])
-        return out
-
 
 def _sub(
     dst: Row, src: Row, q: int, holders: Optional[List[List[int]]] = None, label: int = 0

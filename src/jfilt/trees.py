@@ -34,7 +34,7 @@ from itertools import combinations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_rank
-from .errors import InvariantError, PreconditionError, ValidationError
+from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
 from .lie import LieElement, Words, bracket_words
 from .snf import eliminate
 
@@ -129,20 +129,17 @@ def make_graph(
 
 
 def clasper_from_json(data: dict) -> ClasperGraph:
+    """Read ``{"vertices", "edges"}`` with optional ``labels``, ``cyclic``
+    and ``n``; ``n`` defaults to the length of a label."""
+    vertices, edges = payload_fields(data, "graph", vertices=list, edges=list)
+    optional = {key: kind for key, kind in (("n", int), ("labels", dict)) if key in data}
+    payload_fields(data, "graph", **optional)
+    labels = data.get("labels", {})
     try:
-        vertices = {v["id"]: _ARITY_NAMES.get(v["arity"], v["arity"]) for v in data["vertices"]}
-        edges = [(a, b) for a, b in data["edges"]]
-        labels = data.get("labels", {})
-        if not isinstance(labels, dict):
-            raise ValidationError("bad graph payload: labels must be an object")
-        cyclic = data.get("cyclic")
-        if "n" in data:
-            n = int(data["n"])
-        elif labels:
-            n = len(next(iter(labels.values())))
-        else:
-            n = 0
-        return make_graph(n, vertices, edges, labels, cyclic)
+        vertices = {v["id"]: _ARITY_NAMES.get(v["arity"], v["arity"]) for v in vertices}
+        edges = [(a, b) for a, b in edges]
+        n = data["n"] if "n" in data else len(next(iter(labels.values()), ()))
+        return make_graph(n, vertices, edges, labels, data.get("cyclic"))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -289,10 +289,6 @@ class TruncatedSeries:
         self.cutoff = cutoff
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0 and len(m) < cutoff}
 
-    @classmethod
-    def one(cls, alphabet: Alphabet, cutoff: int) -> "TruncatedSeries":
-        return cls(alphabet, cutoff, {(): 1})
-
     def _check(self, other: "TruncatedSeries"):
         if self.alphabet != other.alphabet or self.cutoff != other.cutoff:
             raise ValidationError("series alphabet or cutoff mismatch")
@@ -328,10 +324,6 @@ class TruncatedSeries:
 
     def homogeneous(self, degree: int) -> Dict[Tuple[int, ...], int]:
         return {m: c for m, c in self.terms.items() if len(m) == degree}
-
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {(): 1}
 
     def lowest_positive_degree(self):
         degrees = [len(m) for m in self.terms if m]
@@ -634,7 +626,8 @@ def parse_word(text: str, alphabet: Alphabet) -> GroupWord:
             out += base
     if len(stack) > 1:
         raise ValidationError(_UNCLOSED[stack[-1][0]])
-    return GroupWord(alphabet, tuple(out))
+    # Each letter's index was range-checked when its name was resolved.
+    return GroupWord._reduced(alphabet, _reduce_letters(out))
 
 
 @lru_cache(maxsize=None)

@@ -61,6 +61,7 @@ from jfilt.words import (
     omega,
     project_y,
     render_word,
+    substitute,
 )
 
 
@@ -148,9 +149,13 @@ def test_apply_is_substitution():
     ab = h.alphabet
     x1, y1 = generator(ab, 0), generator(ab, 1)
     w = x1 * y1 * x1.inverse()
-    assert h.apply(w) == h.apply(x1) * h.apply(y1) * h.apply(x1).inverse()
-    assert h.apply(x1.inverse()) == h.apply(x1).inverse()
-    assert h.apply(GroupWord(ab)).is_empty
+
+    def apply(u):
+        return substitute(u, h.images)
+
+    assert apply(w) == apply(x1) * apply(y1) * apply(x1).inverse()
+    assert apply(x1.inverse()) == apply(x1).inverse()
+    assert apply(GroupWord(ab)).is_empty
 
 
 def test_apply_matches_repeated_images_and_is_capped(monkeypatch):
@@ -176,19 +181,19 @@ def test_apply_matches_repeated_images_and_is_capped(monkeypatch):
         h = NilAut(ab, 3, images)
         w = GroupWord(ab, tuple((rng.randrange(4), rng.choice((-3, -2, -1, 1, 2, 3)))
                                 for _ in range(rng.randint(0, 6))))
-        assert h.apply(w).letters == repeated(h, w).letters
+        assert substitute(w, h.images).letters == repeated(h, w).letters
 
     monkeypatch.setattr(jfilt.words, "MAX_WORD_LETTERS", 100)
     x1, y1 = gens[0], gens[2]
     h = NilAut(ab, 3, [x1 * y1] + gens[1:])  # x1 -> x1 y1
-    assert len(h.apply(x1 ** 50).letters) == 100
+    assert len(substitute(x1 ** 50, h.images).letters) == 100
     # Letters already built count against the cap.
     for refused in (x1 ** 51, x1 ** -51, y1 * x1 ** 50):
         with pytest.raises(ValidationError):
-            h.apply(refused)
+            substitute(refused, h.images)
     # A conjugate of one letter adds one letter for any exponent.
     conj = NilAut(ab, 3, [y1 * x1 * y1.inverse()] + gens[1:])
-    assert len(conj.apply(x1 ** 10**15).letters) == 3
+    assert len(substitute(x1 ** 10**15, conj.images).letters) == 3
 
 
 def test_semantic_equality_ignores_deep_commutators():
@@ -284,7 +289,7 @@ def test_a_chain_of_3000_compositions_is_queried_without_recursion(monkeypatch):
 def test_compose_builds_no_words_until_images_is_read(monkeypatch):
     h1 = phi_hat(random_kernel_tuple(random.Random(3), 2, 2))
     h2 = psi_hat(full_twist_tuple(2, 4, 1, X_ONLY))
-    eager = [h1.apply(w) for w in h2.images]
+    eager = [substitute(w, h1.images) for w in h2.images]
     substituted = []
     real = jfilt.automorphisms.substitute
     monkeypatch.setattr(jfilt.automorphisms, "substitute", lambda w, images: substituted.append(w) or real(w, images))
@@ -592,7 +597,7 @@ def test_check_aut0_rejects_a_mirrored_product():
     h = compose(phi_hat(full_twist_tuple(2, 3, 1)), psi_hat(full_twist_tuple(2, 3, 1, X_ONLY)))
     assert h._aut0_known is None
     w = omega(2)
-    assert not nilpotent_equal(h.apply(w), w, 4)  # the word route
+    assert not nilpotent_equal(substitute(w, h.images), w, 4)  # the word route
     assert not check_aut0(h)
     with pytest.raises(PreconditionError, match="check_aut0 fails"):
         johnson_element(h, 1)
@@ -648,7 +653,7 @@ def test_series_queries_agree_with_the_bare_words(g, k, specs):
     assert filtration_degree(h) == filtration_degree(bare)
     h._aut0_known = None  # answer from the substituted series
     w = omega(g)
-    assert check_aut0(h) == check_aut0(bare) == nilpotent_equal(bare.apply(w), w, h.level + 1)
+    assert check_aut0(h) == check_aut0(bare) == nilpotent_equal(substitute(w, bare.images), w, h.level + 1)
     for j in range(1, h.level - 1):
         assert _outcome(johnson_element, h, j) == _outcome(johnson_element, bare, j)
 
@@ -940,6 +945,33 @@ def test_aut_json_rejects_a_key_that_names_no_generator(key):
 def test_aut_json_rejects_a_payload_that_is_not_an_object(payload):
     with pytest.raises(ValidationError, match="^bad automorphism payload: expected a JSON object$"):
         aut_from_json(payload)
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
+def test_tuple_json_rejects_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(ValidationError, match="^bad tuple payload: expected a JSON object$"):
+        tuple_from_json(payload)
+
+
+@pytest.mark.parametrize("entries", ["  ", "y1 y2", {"y1": 1}, None])
+def test_tuple_json_rejects_entries_that_are_not_a_list(entries):
+    # A string used to be read one character per entry, an object one key
+    # per entry.
+    with pytest.raises(ValidationError, match="^bad tuple payload: entries must be a list$"):
+        tuple_from_json({"g": 2, "q": 3, "entries": entries})
+    with pytest.raises(ValidationError, match="need one entry per strand"):
+        tuple_from_json({"g": 2, "q": 3, "entries": ["y1"]})
+
+
+@pytest.mark.parametrize("field", ["g", "q"])
+@pytest.mark.parametrize("value", [True, False, 1.9, 3.0, "1", None, [1]])
+def test_json_readers_reject_integer_fields_that_are_not_integers(field, value):
+    for reader, good, kind in (
+        (aut_from_json, aut_to_json(transvection(3)), "automorphism"),
+        (tuple_from_json, tuple_to_json(framing_tuple(1, 3, [1])), "tuple"),
+    ):
+        with pytest.raises(ValidationError, match="^bad %s payload: %s must be an integer$" % (kind, field)):
+            reader(dict(good, **{field: value}))
 
 
 def test_aut_json_rejects_missing_image():

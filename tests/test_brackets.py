@@ -259,6 +259,23 @@ def test_json_roundtrip():
             tensor_from_json(payload)
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
+def test_json_rejects_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(ValidationError, match="^bad tensor element payload: expected a JSON object$"):
+        tensor_from_json(payload)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_json_rejects_integers_that_are_not_json_integers(value):
+    good = tensor_to_json(dk_basis(3, 2)[0])
+    for field in ("n", "k"):
+        with pytest.raises(ValidationError, match="^bad tensor element payload: %s must be an integer$" % field):
+            tensor_from_json(dict(good, **{field: value}))
+    coords = [value] + good["coords"][1:]
+    with pytest.raises(ValidationError, match="^bad tensor element payload: coords must be integers$"):
+        tensor_from_json(dict(good, coords=coords))
+
+
 @st.composite
 def sparse_pairs(draw):
     """Two random Lie elements, or two random tensor elements, of one shape."""

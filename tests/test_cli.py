@@ -233,6 +233,69 @@ def test_an_automorphism_file_that_is_not_an_object_exits_2(capsys, tmp_path):
     assert "expected a JSON object" in err and "list indices" not in err
 
 
+# Each reader's commands, with the kind its refusals name.
+READER_COMMANDS = {
+    "tuple": (("stringlink", "phi"), ("stringlink", "psi"), ("stringlink", "compose")),
+    "graph": (("tree", "image"), ("graph", "orient"), ("graph", "count")),
+    "automorphism": (("aut", "degree"), ("aut", "compose")),
+}
+
+
+def _refusals(capsys, tmp_path, kind, payload):
+    """The stderr of each command that reads ``payload`` as a ``kind``
+    document, after checking that each exits 2 with the reader's message."""
+    path = write_json(tmp_path, "bad.json", payload)
+    errs = []
+    for command in READER_COMMANDS[kind]:
+        files = (path, path) if command[1] == "compose" else (path,)
+        code, out, err = invoke(capsys, *command, *files)
+        assert code == 2 and out == "", (command, payload, err)
+        assert err.startswith("error: bad %s payload: " % kind), (command, payload, err)
+        assert "list indices" not in err
+        errs.append(err)
+    return errs
+
+
+@pytest.mark.parametrize("kind", sorted(READER_COMMANDS))
+@pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
+def test_a_file_that_is_not_an_object_exits_2(capsys, tmp_path, kind, payload):
+    for err in _refusals(capsys, tmp_path, kind, payload):
+        assert err == "error: bad %s payload: expected a JSON object\n" % kind
+
+
+@pytest.mark.parametrize("entries", ["  ", "y1", {"y1": 1}, None])
+def test_tuple_entries_that_are_not_a_list_exit_2(capsys, tmp_path, entries):
+    for err in _refusals(capsys, tmp_path, "tuple", {"g": 2, "q": 3, "entries": entries}):
+        assert "entries must be a list" in err
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.9, 2.0, "2", None, [2]])
+def test_integer_fields_that_are_not_json_integers_exit_2(capsys, tmp_path, bad):
+    cases = [
+        ("tuple", tuple_to_json(framing_tuple(2, 3, [1, 0])), ("g", "q")),
+        ("automorphism", aut_to_json(kernel_aut()), ("g", "q")),
+        ("graph", theta_payload(), ("n",)),
+    ]
+    for kind, good, fields in cases:
+        for field in fields:
+            for err in _refusals(capsys, tmp_path, kind, dict(good, **{field: bad})):
+                assert "%s must be an integer" % field in err
+
+
+def test_missing_fields_exit_2(capsys, tmp_path):
+    cases = [
+        ("tuple", tuple_to_json(framing_tuple(2, 3, [1, 0]))),
+        ("automorphism", aut_to_json(kernel_aut())),
+        ("graph", theta_payload()),
+    ]
+    for kind, good in cases:
+        for field in ("g", "q", "entries", "images", "vertices", "edges"):
+            if field in good:
+                bad = {key: value for key, value in good.items() if key != field}
+                for err in _refusals(capsys, tmp_path, kind, bad):
+                    assert "missing field %r" % field in err
+
+
 @pytest.mark.parametrize("level", ["1", "0", "-3"])
 def test_level_below_2_exits_2(capsys, tmp_path, level):
     path = write_json(tmp_path, "h.json", aut_to_json(kernel_aut()))

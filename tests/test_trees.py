@@ -361,3 +361,16 @@ def test_json_bad_payload():
         with pytest.raises(ValidationError, match="labels must be an object"):
             clasper_from_json({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [],
                                "labels": labels})
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
+def test_json_rejects_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(ValidationError, match="^bad graph payload: expected a JSON object$"):
+        clasper_from_json(payload)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+def test_json_rejects_n_that_is_not_an_integer(n):
+    data = dict(clasper_to_json(h_tree(3, (0, 1), (2, 1))), n=n)
+    with pytest.raises(ValidationError, match="^bad graph payload: n must be an integer$"):
+        clasper_from_json(data)

@@ -160,7 +160,7 @@ def test_magnus_is_a_homomorphism(u, v):
 @settings(max_examples=40, deadline=None)
 @given(words_over(FULL2))
 def test_inverse_cancels_under_magnus(u):
-    assert magnus_expand(u * u.inverse(), 4).is_one
+    assert magnus_expand(u * u.inverse(), 4).terms == {(): 1}
     assert u.inverse().inverse() == u
 
 
@@ -235,7 +235,7 @@ def test_power_examples():
 def _reference_magnus(w, q):
     """The definition: the product over the letters z^e of w of the series
     (1 + Z)^e, folded under TruncatedSeries multiplication."""
-    series = TruncatedSeries.one(w.alphabet, q)
+    series = TruncatedSeries(w.alphabet, q, {(): 1})
     for gen, exp in w.letters:
         terms = {}
         for j in range(q):
