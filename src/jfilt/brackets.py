@@ -44,11 +44,12 @@ from .lie import (
 from .snf import Matrix, Row, eliminate, is_identity_matrix
 
 # Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
-# its kernel basis takes about 0.03 s (`jfilt dk basis 6 3`, which prints
-# 7 MB of it, about 0.6 s), (10, 2) has 8.2 million.  The matrix route keeps
-# only nonzero entries, so the bound guards its time and the size of its
-# output (a basis of about rank x columns entries), not a dense allocation;
-# it is checked before anything is built.
+# its kernel basis takes about 0.02 s, 4 ms of it in the elimination
+# (`jfilt dk basis 6 3`, which prints 7 MB of it, about 0.45 s on a 2-vCPU
+# Xeon), (10, 2) has 8.2 million.  The matrix route keeps only nonzero
+# entries, so the bound guards its time and the size of its output (a basis
+# of about rank x columns entries), not a dense allocation; it is checked
+# before anything is built.
 MAX_MATRIX_CELLS = 4 * 10**6
 
 

@@ -128,18 +128,46 @@ def make_graph(
     )
 
 
+def _half_edges(value, count: int) -> bool:
+    """Whether a JSON value is a list of ``count`` half-edge strings."""
+    return isinstance(value, list) and len(value) == count and all(isinstance(h, str) for h in value)
+
+
 def clasper_from_json(data: dict) -> ClasperGraph:
     """Read ``{"vertices", "edges"}`` with optional ``labels``, ``cyclic``
-    and ``n``; ``n`` defaults to the length of a label."""
+    and ``n``; ``n`` defaults to the length of a label.  Each vertex record,
+    edge and cyclic order is type-checked, and a refusal names it."""
     vertices, edges = payload_fields(data, "graph", vertices=list, edges=list)
-    optional = {key: kind for key, kind in (("n", int), ("labels", dict)) if key in data}
+    optional = {key: kind for key, kind in (("n", int), ("labels", dict), ("cyclic", dict)) if key in data}
     payload_fields(data, "graph", **optional)
     labels = data.get("labels", {})
+    cyclic = data.get("cyclic", {})
+    arities = {}
+    for i, v in enumerate(vertices):
+        if not (isinstance(v, dict) and isinstance(v.get("id"), str) and "arity" in v):
+            raise ValidationError(
+                "bad graph payload: vertex %d must be an object with a string id and an arity" % i
+            )
+        arity = v["arity"]
+        if isinstance(arity, str) and arity in _ARITY_NAMES:
+            arity = _ARITY_NAMES[arity]
+        elif not isinstance(arity, int) or isinstance(arity, bool):
+            raise ValidationError(
+                "bad graph payload: vertex %r has arity %r, expected 'univalent' or 'trivalent'"
+                % (v["id"], arity)
+            )
+        arities[v["id"]] = arity
+    for i, e in enumerate(edges):
+        if not _half_edges(e, 2):
+            raise ValidationError("bad graph payload: edge %d must be a pair of half-edge strings" % i)
+    for vid, order in cyclic.items():
+        if not _half_edges(order, 3):
+            raise ValidationError(
+                "bad graph payload: cyclic order of %r must be a list of 3 half-edge strings" % vid
+            )
     try:
-        vertices = {v["id"]: _ARITY_NAMES.get(v["arity"], v["arity"]) for v in vertices}
-        edges = [(a, b) for a, b in edges]
         n = data["n"] if "n" in data else len(next(iter(labels.values()), ()))
-        return make_graph(n, vertices, edges, labels, data.get("cyclic"))
+        return make_graph(n, arities, edges, labels, cyclic)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

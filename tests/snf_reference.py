@@ -7,8 +7,10 @@ remainder promotion or fold, so the tests compare the two on the diagonal,
 ``U`` and ``V`` entry for entry.  The reference also counts, in an
 optional ``events`` counter, the branches a family of test matrices takes:
 ``fill`` (an entry created in a row), ``nonunit`` (a pivot that is not a
-unit), ``promote`` (a remainder promoted to pivot) and ``fold`` (a row
-folded into a non-unit pivot row).
+unit), ``unitrow`` (a +-1 pivot whose row holds other entries once its
+column is clear, which the library clears in one pass), ``promote`` (a
+remainder promoted to pivot) and ``fold`` (a row folded into a non-unit
+pivot row).
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ def eliminate(
                 # does not divide, which becomes the pivot; each operation
                 # before it leaves a zero, and none reads another's result.
                 if len(prow) > 1:
+                    if events is not None and (p == 1 or p == -1):
+                        events["unitrow"] += 1
                     stops = [pos[c] for c, e in prow.items() if e % p]
                     stop = min(stops) if stops else cols
                     for c in [c for c in prow if c != ct and pos[c] <= stop]:

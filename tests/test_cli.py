@@ -282,6 +282,19 @@ def test_integer_fields_that_are_not_json_integers_exit_2(capsys, tmp_path, bad)
                 assert "%s must be an integer" % field in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("vertices", ["u"], "vertex 0 must be an object with a string id and an arity"),
+    ("vertices", [{"id": "a", "arity": [3]}], "vertex 'a' has arity [3], expected"),
+    ("edges", [1], "edge 0 must be a pair of half-edge strings"),
+    ("edges", [["a.0", "b.0"], ["a.1"]], "edge 1 must be a pair of half-edge strings"),
+    ("cyclic", {"a": "a.0"}, "cyclic order of 'a' must be a list of 3 half-edge strings"),
+])
+def test_malformed_graph_records_exit_2(capsys, tmp_path, field, value, message):
+    for err in _refusals(capsys, tmp_path, "graph", dict(theta_payload(), **{field: value})):
+        assert message in err
+        assert "string indices" not in err and "cannot unpack" not in err
+
+
 def test_missing_fields_exit_2(capsys, tmp_path):
     cases = [
         ("tuple", tuple_to_json(framing_tuple(2, 3, [1, 0]))),

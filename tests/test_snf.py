@@ -288,7 +288,27 @@ def test_the_reference_family_takes_every_branch():
     for _ in range(300):
         rows, cols = _sparse_matrix(rng)
         snf_reference.eliminate(rows, cols, events=events)
-    assert min(events[e] for e in ("fill", "nonunit", "promote", "fold")) >= 50, events
+    assert min(events[e] for e in ("fill", "nonunit", "unitrow", "promote", "fold")) >= 50, events
+
+
+@pytest.mark.parametrize("a", [
+    [[1, 2, -3, 4], [2, 1, 0, 5], [0, 3, 1, 1]],
+    [[0, -1, 5, 2, -7], [3, 2, 0, 0, 1], [1, 4, -2, 0, 0], [0, 0, 6, 0, 2]],
+])
+def test_unit_pivot_row_with_many_entries(a):
+    # The first pivot is a unit whose row keeps three or more entries once
+    # its column is clear, so its row is cleared in one pass.
+    rows = [{j: x for j, x in enumerate(r) if x} for r in a]
+    events = Counter()
+    ref = snf_reference.eliminate([dict(r) for r in rows], len(a[0]), want_u=True,
+                                  want_v=True, events=events)
+    assert events["unitrow"] >= 1
+    diagonal, u, vt = eliminate([dict(r) for r in rows], len(a[0]), want_u=True, want_v=True)
+    assert (diagonal, u, vt) == ref
+    dense_u = [[r.get(j, 0) for j in range(len(a))] for r in u]
+    dense_v = transpose([[c.get(i, 0) for i in range(len(a[0]))] for c in vt])
+    d = matmul(matmul(dense_u, a), dense_v)
+    assert d == [[diagonal[i] if i == j else 0 for j in range(len(a[0]))] for i in range(len(a))]
 
 
 @settings(max_examples=60, deadline=None)

@@ -363,6 +363,27 @@ def test_json_bad_payload():
                                "labels": labels})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"vertices": ["u"], "edges": []}, "vertex 0 must be an object with a string id and an arity"),
+    ({"vertices": [{"id": 1, "arity": "univalent"}], "edges": []},
+     "vertex 0 must be an object with a string id and an arity"),
+    ({"vertices": [{"id": "u", "arity": "3"}], "edges": []},
+     "vertex 'u' has arity '3', expected 'univalent' or 'trivalent'"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [1]},
+     "edge 0 must be a pair of half-edge strings"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [["u.0", "u.0", "u.0"]]},
+     "edge 0 must be a pair of half-edge strings"),
+    ({"vertices": [{"id": "s", "arity": "trivalent"}], "edges": [], "cyclic": {"s": ["s.0", "s.1"]}},
+     "cyclic order of 's' must be a list of 3 half-edge strings"),
+    ({"vertices": [{"id": "s", "arity": "trivalent"}], "edges": [], "cyclic": None},
+     "cyclic must be an object"),
+])
+def test_json_rejects_malformed_records(data, message):
+    with pytest.raises(ValidationError, match="^bad graph payload: ") as info:
+        clasper_from_json(data)
+    assert message in str(info.value)
+
+
 @pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])
 def test_json_rejects_a_payload_that_is_not_an_object(payload):
     with pytest.raises(ValidationError, match="^bad graph payload: expected a JSON object$"):
