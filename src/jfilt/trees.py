@@ -8,12 +8,14 @@ rooting at a leaf turns the tree into a nested bracket (reading the two
 non-entry branches at each trivalent vertex in cyclic order), and summing
 ``label (x) rooted bracket`` over all choices of root lands in D_k, the
 kernel of the bracket contraction H (x) L_{k+1} -> L_{k+2}.  That landing is
-checked on every call.  ``span_check`` certifies that these images fill D_k
-at desk scale, using only the labelings of one caterpillar shape: the IHX
-relation writes every tree as an integer sum of caterpillars, and AS turns
-every change of cyclic order into a sign.  AS also means that only the
-labelings with increasing labels on the leaves of each end vertex need
-building; the others are zero or minus one of those.
+checked on every image.  A tree's shape is validated once per call, and a
+labeling (leaf id -> label vector) is bound for one evaluation of it.
+``span_check`` certifies that these images fill D_k at desk scale, using
+only the labelings of one caterpillar shape: the IHX relation writes every
+tree as an integer sum of caterpillars, and AS turns every change of cyclic
+order into a sign.  AS also means that only the labelings with increasing
+labels on the leaves of each end vertex need evaluating; the others are
+zero or minus one of those.
 
 Half-edges are written ``"vertexid.slot"`` in JSON and handled as
 ``(vertexid, slot)`` tuples internally.  The JSON schema:
@@ -148,6 +150,8 @@ def clasper_from_json(data: dict) -> ClasperGraph:
             raise ValidationError(
                 "bad graph payload: vertex %d must be an object with a string id and an arity" % i
             )
+        if v["id"] in arities:
+            raise ValidationError("bad graph payload: duplicate vertex id %r" % v["id"])
         arity = v["arity"]
         if isinstance(arity, str) and arity in _ARITY_NAMES:
             arity = _ARITY_NAMES[arity]
@@ -266,41 +270,10 @@ def validate(g: ClasperGraph) -> GraphInfo:
     )
 
 
-def _edge_partner(g: ClasperGraph) -> Dict[Half, Half]:
-    out: Dict[Half, Half] = {}
-    for a, b in g.edges:
-        out[a] = b
-        out[b] = a
-    return out
-
-
-def _tree_evaluator(g: ClasperGraph) -> Callable[[str], Words]:
-    """Rooted-bracket evaluation of a validated tree, as a dict from Lyndon
-    word to coefficient.
-
-    Entering a trivalent vertex through one half-edge, the remaining two in
-    cyclic order give (first, second) and the value is their Lie bracket; a
-    leaf evaluates to its label vector on the degree-one words.
-    """
-    arity = g.arity_map()
-    partner = _edge_partner(g)
-    cyc = g.cyclic_map()
-    labels = g.label_map()
-
-    def eval_from(h: Half) -> Words:
-        # value of the subtree on the far side of half-edge h
-        far = partner[h]
-        vid = far[0]
-        if arity[vid] == UNIVALENT:
-            return {(a,): c for a, c in enumerate(labels[vid]) if c}
-        order = cyc[vid]
-        pos = order.index(far)
-        return bracket_words(eval_from(order[(pos + 1) % 3]), eval_from(order[(pos + 2) % 3]))
-
-    return lambda root: eval_from((root, 0))
-
-
-def _validate_tree(g: ClasperGraph, caller: str) -> GraphInfo:
+def _tree_shape(g: ClasperGraph, caller: str) -> Tuple[int, Dict[Half, object]]:
+    """Validate a tree once: its degree and its step table, which maps each
+    half-edge to what lies on its far side, a leaf id or the next two
+    half-edges of a trivalent vertex in cyclic order.  It reads no labels."""
     info = validate(g)
     if not info.is_tree:
         raise ValidationError("%s needs a tree" % caller)
@@ -311,41 +284,69 @@ def _validate_tree(g: ClasperGraph, caller: str) -> GraphInfo:
             "%s of a degree-%d tree with labels of rank %d exceeds n^(k+2) <= %d"
             % (caller, info.degree, g.n, MAX_TREE_TERMS)
         )
-    return info
+    cyc = g.cyclic_map()
+    enter: Dict[Half, object] = {}
+    for vid, a in g.vertices:
+        if a == TRIVALENT:
+            h0, h1, h2 = cyc[vid]
+            enter[h0], enter[h1], enter[h2] = (h1, h2), (h2, h0), (h0, h1)
+    steps: Dict[Half, object] = {}
+    for a, b in g.edges:
+        steps[a], steps[b] = enter.get(b, b[0]), enter.get(a, a[0])
+    return info.degree, steps
+
+
+def _rooted_words(steps: Mapping[Half, object], labels: Mapping[str, Sequence[int]], h: Half) -> Words:
+    """Rooted-bracket value of the subtree on the far side of half-edge h, as
+    a dict from Lyndon word to coefficient: a leaf gives its label vector on
+    the degree-one words, a trivalent vertex the Lie bracket of the values
+    behind its next two half-edges, in cyclic order."""
+    step = steps[h]
+    if isinstance(step, str):
+        return {(a,): c for a, c in enumerate(labels[step]) if c}
+    return bracket_words(_rooted_words(steps, labels, step[0]), _rooted_words(steps, labels, step[1]))
+
+
+def _tree_image(
+    n: int, k: int, steps: Mapping[Half, object], labels: Mapping[str, Sequence[int]]
+) -> TensorElement:
+    """Sum of ``label (x) rooted bracket`` over the leaves of a degree-k step
+    table under one labeling; kernel membership is checked on the result."""
+    # Lyndon word -> its coefficient on each generator, so that each word is
+    # looked up once per leaf, not once per label entry.
+    rows: Dict[Tuple[int, ...], List[int]] = {}
+    for vid, vec in labels.items():
+        label = [(a, x) for a, x in enumerate(vec) if x]
+        if not label:
+            continue
+        for u, c in _rooted_words(steps, labels, (vid, 0)).items():
+            row = rows.get(u)
+            if row is None:
+                row = rows[u] = [0] * n
+            for a, x in label:
+                row[a] += x * c
+    terms = {(a, u): c for u, row in rows.items() for a, c in enumerate(row) if c}
+    out = TensorElement(n, k, terms)
+    if not bracket_map(out).is_zero:
+        raise InvariantError("tree image escaped the contraction kernel")
+    return out
 
 
 def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
     """Evaluate the tree as a nested bracket from the given leaf (see
-    ``_tree_evaluator``); the value lies in degree ``degree(g) + 1``."""
-    info = _validate_tree(g, "rooted_bracket")
+    ``_rooted_words``); the value lies in degree ``degree(g) + 1``."""
+    k, steps = _tree_shape(g, "rooted_bracket")
     if g.arity_map().get(root) != UNIVALENT:
         raise ValidationError("root %r is not a univalent vertex" % root)
-    return LieElement(g.n, info.degree + 1, _tree_evaluator(g)(root))
+    return LieElement(g.n, k + 1, _rooted_words(steps, g.label_map(), (root, 0)))
 
 
 def tree_to_dk(g: ClasperGraph) -> TensorElement:
-    """Sum of ``label (x) rooted_bracket`` over all leaves; kernel membership
-    is checked on the result."""
-    k = _validate_tree(g, "tree_to_dk").degree
-    evaluate = _tree_evaluator(g)
-    # Lyndon word -> its coefficient on each generator, so that each word is
-    # looked up once per leaf, not once per label entry.
-    rows: Dict[Tuple[int, ...], List[int]] = {}
-    for vid, vec in g.label_map().items():
-        label = [(a, x) for a, x in enumerate(vec) if x]
-        if not label:
-            continue
-        for u, c in evaluate(vid).items():
-            row = rows.get(u)
-            if row is None:
-                row = rows[u] = [0] * g.n
-            for a, x in label:
-                row[a] += x * c
-    terms = {(a, u): c for u, row in rows.items() for a, c in enumerate(row) if c}
-    out = TensorElement(g.n, k, terms)
-    if not bracket_map(out).is_zero:
-        raise InvariantError("tree image escaped the contraction kernel")
-    return out
+    """Sum of ``label (x) rooted_bracket`` over all leaves.  The tree's shape
+    is validated once per call and its own labels are bound for the one
+    evaluation; kernel membership is checked on the image."""
+    k, steps = _tree_shape(g, "tree_to_dk")
+    return _tree_image(g.n, k, steps, g.label_map())
 
 
 def _as_vector(n: int, label) -> Tuple[int, ...]:
@@ -484,6 +485,23 @@ def _caterpillar_labelings(n: int, k: int) -> Iterator[Tuple[int, ...]]:
     )
 
 
+def _caterpillar_images(n: int, k: int) -> List[TensorElement]:
+    """The nonzero images of the basis labelings of the degree-k caterpillar.
+    They still repeat up to sign (144 labelings, 48 lines at (4, 3)), and the
+    rank's work grows with the row count: one is kept per line, with a
+    positive coefficient at its least key."""
+    g = assemble_unitrivalent(n, k, [(i, i + 1) for i in range(k - 1)], [0] * (k + 2))
+    steps = _tree_shape(g, "span_check")[1]
+    leaves = [vid for vid, a in g.vertices if a == UNIVALENT]  # in the order of the labels
+    units = [_as_vector(n, a) for a in range(n)]
+    images: Dict[TensorElement, None] = {}
+    for labels in _caterpillar_labelings(n, k):
+        t = _tree_image(n, k, steps, {vid: units[a] for vid, a in zip(leaves, labels)})
+        if t.terms:
+            images[t if t.terms[min(t.terms)] > 0 else -t] = None
+    return list(images)
+
+
 def span_check(n: int, k: int) -> Tuple[int, int]:
     """The rank over Q of the span of all degree-k tree images, and the rank
     of D_k, for labels of rank n.
@@ -497,25 +515,19 @@ def span_check(n: int, k: int) -> Tuple[int, int]:
     those labelings down: swapping the labels of two leaves on one vertex
     flips that vertex, so the image changes sign, and is zero when the two
     labels are equal.  Only labelings with strictly increasing labels on the
-    two leaves at each end vertex (on all three at k = 1) are built: C(n, 3)
-    at k = 1 and C(n, 2)^2 n^(k-2) otherwise, instead of n^(k+2).  Each
-    image left out is zero or minus one that is kept, so the lattice, up to
-    the sign of its rows, is the same.
+    two leaves at each end vertex (on all three at k = 1) are evaluated:
+    C(n, 3) at k = 1 and C(n, 2)^2 n^(k-2) otherwise, instead of n^(k+2).
+    Each image left out is zero or minus one that is kept, so the lattice,
+    up to the sign of its rows, is the same.
+
+    The caterpillar is validated once per call, each labeling is bound for
+    one evaluation of it, and the kernel check runs on every image.
     """
     if not (1 <= k <= 6 and 1 <= n and n ** (k + 2) <= 4096):
         raise PreconditionError("span_check needs n >= 1, 1 <= k <= 6 and n^(k+2) <= 4096")
-    # Images still repeat up to sign (144 labelings, 48 lines at (4, 3)), and
-    # the rank's work grows with the row count: keep one row per line, with
-    # a positive coefficient at its least key.
-    caterpillar = [(i, i + 1) for i in range(k - 1)]
-    images: Dict[TensorElement, None] = {}
-    for labels in _caterpillar_labelings(n, k):
-        t = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels))
-        if t.terms:
-            images[t if t.terms[min(t.terms)] > 0 else -t] = None
     columns: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     rows = [{columns.setdefault(key, len(columns)): c for key, c in t.terms.items()}
-            for t in images]
+            for t in _caterpillar_images(n, k)]
     return sum(1 for d in eliminate(rows, len(columns))[0] if d), dk_rank(n, k)
 
 

@@ -288,6 +288,8 @@ def test_integer_fields_that_are_not_json_integers_exit_2(capsys, tmp_path, bad)
     ("edges", [1], "edge 0 must be a pair of half-edge strings"),
     ("edges", [["a.0", "b.0"], ["a.1"]], "edge 1 must be a pair of half-edge strings"),
     ("cyclic", {"a": "a.0"}, "cyclic order of 'a' must be a list of 3 half-edge strings"),
+    ("vertices", [{"id": "a", "arity": "trivalent"}, {"id": "b", "arity": "trivalent"},
+                  {"id": "a", "arity": "univalent"}], "duplicate vertex id 'a'"),
 ])
 def test_malformed_graph_records_exit_2(capsys, tmp_path, field, value, message):
     for err in _refusals(capsys, tmp_path, "graph", dict(theta_payload(), **{field: value})):

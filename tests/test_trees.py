@@ -24,8 +24,11 @@ from jfilt.trees import (
     span_check,
     tree_to_dk,
     tripod,
+    _caterpillar_images,
     _caterpillar_labelings,
     _prufer_decode,
+    _tree_image,
+    _tree_shape,
     validate,
 )
 
@@ -282,6 +285,37 @@ def test_caterpillars_span_the_all_trees_lattice(n, k, torsion):
     assert span_check(n, k) == (len(divisors), len(divisors))
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
+def test_span_check_images_are_the_caterpillar_graph_images(n, k):
+    # span_check evaluates labelings on one compiled shape; each image must
+    # be the one tree_to_dk gives the graph of that labeling.
+    caterpillar = [(i, i + 1) for i in range(k - 1)]
+    expected = set()
+    for labels in _caterpillar_labelings(n, k):
+        t = tree_to_dk(assemble_unitrivalent(n, k, caterpillar, labels))
+        if t.terms:
+            expected.add(t if t.terms[min(t.terms)] > 0 else -t)
+    images = _caterpillar_images(n, k)
+    assert len(images) == len(expected)
+    assert set(images) == expected
+
+
+def test_one_shape_evaluates_each_labeling_afresh():
+    rng = random.Random(7)
+    for n, k in [(2, 1), (3, 2), (4, 3), (2, 4)]:
+        g = random_labeled_tree(rng, n, k)
+        degree, steps = _tree_shape(g, "tree_to_dk")
+        assert degree == k
+        leaves = [vid for vid, arity in g.vertices if arity == 1]
+        # The first labeling has a zero label, which evaluation skips, and the
+        # second has none: each evaluation must read its own labels only.
+        first = [(0,) * n] + [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in leaves[1:]]
+        second = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in leaves]
+        for labels in (first, second, first):
+            fresh = ClasperGraph(g.n, g.vertices, g.edges, g.cyclic, tuple(sorted(zip(leaves, labels))))
+            assert _tree_image(n, k, steps, dict(zip(leaves, labels))) == tree_to_dk(fresh)
+
+
 def test_assemble_round_trip_shape():
     g = assemble_unitrivalent(2, 3, [(0, 1), (1, 2)], [0, 1, 0, 1, 0])
     info = validate(g)
@@ -377,6 +411,9 @@ def test_json_bad_payload():
      "cyclic order of 's' must be a list of 3 half-edge strings"),
     ({"vertices": [{"id": "s", "arity": "trivalent"}], "edges": [], "cyclic": None},
      "cyclic must be an object"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}, {"id": "s", "arity": "trivalent"},
+                   {"id": "u", "arity": "trivalent"}], "edges": []},
+     "duplicate vertex id 'u'"),
 ])
 def test_json_rejects_malformed_records(data, message):
     with pytest.raises(ValidationError, match="^bad graph payload: ") as info:
