@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_basis, dk_rank, tensor_from_components
 from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
-from .lie import LieElement, hall_basis, lift_lie_element, tensor_to_lyndon
+from .lie import LieElement, _leading_class, hall_basis, lift_lie_element
 from .snf import (
     Matrix,
     identity_matrix,
@@ -394,14 +394,8 @@ def johnson_element(h: NilAut, k: int) -> TensorElement:
         raise PreconditionError("johnson_element: check_aut0 fails")
     g = h.genus
     n = 2 * g
-    displacements: List[LieElement] = []
-    for terms in _displacements(h):
-        if any(len(m) <= k for m in terms):
-            raise PreconditionError(
-                "johnson_element: filtration_degree is below k = %d" % k
-            )
-        top = {m: c for m, c in terms.items() if len(m) == k + 1}
-        displacements.append(tensor_to_lyndon(top, n, k + 1))
+    below = "johnson_element: filtration_degree is below k = %d" % k
+    displacements = [_leading_class(terms, n, k + 1, below) for terms in _displacements(h)]
     parts: Dict[int, LieElement] = {}
     for i in range(g):
         parts[g + i] = displacements[i]  # y_i (x) d(x_i)

@@ -34,7 +34,7 @@ from .brackets import (
     tensor_from_components,
 )
 from .errors import InvariantError, PreconditionError
-from .lie import tensor_to_lyndon, witt_dimension
+from .lie import _leading_class, witt_dimension
 from .snf import Matrix, is_identity_matrix, transpose
 
 __all__ = [
@@ -92,12 +92,9 @@ def jl_element(h: NilAut, k: int) -> LagrangianReport:
     g = h.genus
     held = h._jl.get(k)
     if held is None:
-        classes = {}
-        for i, terms in enumerate(h.projected_series(k + 2)):
-            if any(0 < len(m) <= k for m in terms):
-                raise PreconditionError("jl_element: lagrangian degree is below k = %d" % k)
-            top = {m: c for m, c in terms.items() if len(m) == k + 1}
-            classes[i] = tensor_to_lyndon(top, g, k + 1)
+        below = "jl_element: lagrangian degree is below k = %d" % k
+        classes = {i: _leading_class(terms, g, k + 1, below)
+                   for i, terms in enumerate(h.projected_series(k + 2))}
         held = h._jl[k] = (tensor_from_components(g, k, classes),
                            is_identity_matrix(_block(h, slice(g, 2 * g))))
     value, in_hat = held

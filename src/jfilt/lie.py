@@ -320,19 +320,22 @@ def lie_bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(u.n, u.degree + v.degree, bracket_words(u.terms, v.terms))
 
 
+def _leading_class(terms: Tensor, n: int, degree: int, below: str) -> LieElement:
+    """Lyndon coordinates of the degree-``degree`` part of a Magnus series
+    or displacement over ``n`` letters, its class in that graded piece;
+    ``PreconditionError(below)`` if a term of positive degree lies lower."""
+    if any(0 < len(m) < degree for m in terms):
+        raise PreconditionError(below)
+    return tensor_to_lyndon({m: c for m, c in terms.items() if len(m) == degree}, n, degree)
+
+
 def graded_class(w: GroupWord, k: int) -> LieElement:
     """Class of a weight >= k word in the degree-k graded piece of the lower
     central series, read off from the degree-k Magnus part."""
     if k < 1:
         raise ValidationError("degree must be at least 1")
-    n = w.alphabet.size
-    if k == 1:
-        return LieElement(n, 1, {(i,): c for i, c in enumerate(w.abelianization()) if c})
-    series = magnus_expand(w, k + 1)
-    low = series.lowest_positive_degree()
-    if low is not None and low < k:
-        raise PreconditionError("word has weight %d, below the requested degree %d" % (low, k))
-    return tensor_to_lyndon(series.homogeneous(k), n, k)
+    below = "graded_class: word weight is below k = %d" % k
+    return _leading_class(magnus_expand(w, k + 1).terms, w.alphabet.size, k, below)
 
 
 def lie_map(matrix, elem: LieElement, n_target: int) -> LieElement:

@@ -58,7 +58,9 @@ MAX_TREE_TERMS = 2**14
 
 def parse_half(text: str) -> Half:
     head, _, tail = text.rpartition(".")
-    if not head or not tail.isdigit():
+    # str.isdigit alone passes digits such as "²" that int() refuses, and
+    # slots too long for int(); a slot is 1 to 9 ASCII digits.
+    if not head or not (tail.isascii() and tail.isdigit()) or len(tail) > 9:
         raise ValidationError("bad half-edge %r, expected 'vertexid.slot'" % (text,))
     return head, int(tail)
 
@@ -100,7 +102,9 @@ def make_graph(
     labels: Mapping[str, Sequence[int]],
     cyclic: Optional[Mapping[str, Sequence]] = None,
 ) -> ClasperGraph:
-    """Canonicalize pythonic inputs; cyclic orders default to slot order."""
+    """Canonicalize pythonic inputs; cyclic orders default to slot order.
+    Every order given is kept, so ``validate`` sees one at a vertex that is
+    absent or not trivalent."""
 
     def to_half(h) -> Half:
         if isinstance(h, str):
@@ -110,13 +114,9 @@ def make_graph(
 
     vtuple = tuple((str(vid), int(arity)) for vid, arity in vertices.items())
     etuple = tuple((to_half(a), to_half(b)) for a, b in edges)
-    cyc = {}
+    cyc = {str(vid): tuple(to_half(h) for h in order) for vid, order in (cyclic or {}).items()}
     for vid, arity in vtuple:
-        if arity != TRIVALENT:
-            continue
-        if cyclic is not None and vid in cyclic:
-            cyc[vid] = tuple(to_half(h) for h in cyclic[vid])
-        else:
+        if arity == TRIVALENT and vid not in cyc:
             cyc[vid] = tuple((vid, s) for s in range(3))
     ltuple = tuple(
         (str(vid), tuple(int(c) for c in vec)) for vid, vec in sorted(labels.items())
@@ -138,7 +138,7 @@ def _half_edges(value, count: int) -> bool:
 def clasper_from_json(data: dict) -> ClasperGraph:
     """Read ``{"vertices", "edges"}`` with optional ``labels``, ``cyclic``
     and ``n``; ``n`` defaults to the length of a label.  Each vertex record,
-    edge and cyclic order is type-checked, and a refusal names it."""
+    edge, cyclic order and label is type-checked, and a refusal names it."""
     vertices, edges = payload_fields(data, "graph", vertices=list, edges=list)
     optional = {key: kind for key, kind in (("n", int), ("labels", dict), ("cyclic", dict)) if key in data}
     payload_fields(data, "graph", **optional)
@@ -169,6 +169,9 @@ def clasper_from_json(data: dict) -> ClasperGraph:
             raise ValidationError(
                 "bad graph payload: cyclic order of %r must be a list of 3 half-edge strings" % vid
             )
+    for vid, vec in labels.items():
+        if not (isinstance(vec, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in vec)):
+            raise ValidationError("bad graph payload: label of %r must be a list of integers" % vid)
     try:
         n = data["n"] if "n" in data else len(next(iter(labels.values()), ()))
         return make_graph(n, arities, edges, labels, cyclic)
@@ -242,6 +245,9 @@ def validate(g: ClasperGraph) -> GraphInfo:
             problems.append("missing cyclic order at %r" % vid)
         elif sorted(order) != [(vid, 0), (vid, 1), (vid, 2)]:
             problems.append("cyclic order at %r is not a permutation of its half-edges" % vid)
+    for vid in cyc:
+        if arity.get(vid) != TRIVALENT:
+            problems.append("cyclic order at %r, which is not a trivalent vertex" % vid)
 
     labels = g.label_map()
     for vid, a in g.vertices:

@@ -255,13 +255,11 @@ def omega(g: int) -> GroupWord:
 
 
 def embed_word(w: GroupWord, full: Alphabet) -> GroupWord:
-    """Include a word over a single-letter alphabet into the full alphabet of
-    the same genus.  y-generators shift up by g, x-generators keep their
-    indices."""
+    """Include a word over any alphabet of the same genus into its full
+    alphabet.  y-generators of a one-letter alphabet shift up by g; every
+    other generator keeps its index."""
     if full.kind != FULL or w.alphabet.genus != full.genus:
         raise ValidationError("embedding requires the full alphabet of the same genus")
-    if w.alphabet.kind == FULL:
-        return GroupWord(full, w.letters)
     shift = full.genus if w.alphabet.kind == Y_ONLY else 0
     return GroupWord(full, tuple((g + shift, e) for g, e in w.letters))
 

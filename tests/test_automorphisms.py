@@ -750,7 +750,7 @@ def test_johnson_preconditions():
         johnson_element(h, 0)
     with pytest.raises(PreconditionError, match="below k"):
         johnson_element(reduce_level(h, 3), 2)
-    with pytest.raises(PreconditionError, match="filtration_degree is below"):
+    with pytest.raises(PreconditionError, match="^johnson_element: filtration_degree is below k = 1$"):
         johnson_element(transvection(3), 1)
     p = psi_hat(framing_tuple(2, 3, [1, 1], X_ONLY))
     with pytest.raises(PreconditionError, match="check_aut0 fails"):

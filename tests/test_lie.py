@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import jfilt.lie
 from jfilt.errors import InvariantError, PreconditionError, ValidationError
 from jfilt.lie import (
+    LieElement,
     basis_expansion,
     generator_element,
     graded_class,
@@ -240,8 +241,18 @@ def test_graded_class_of_commutator_words():
 
 def test_graded_class_low_weight_raises():
     y1 = generator(Y2, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^graded_class: word weight is below k = 2$"):
         graded_class(y1, 2)
+
+
+def test_graded_class_in_degree_one_is_the_abelianization():
+    rng = random.Random(5)
+    for ab in (Y2, Y3, Alphabet(2)):
+        for _ in range(20):
+            w = GroupWord(ab, tuple((rng.randrange(ab.size), rng.choice((-2, -1, 1, 3)))
+                                    for _ in range(rng.randrange(12))))
+            expected = {(i,): c for i, c in enumerate(w.abelianization()) if c}
+            assert graded_class(w, 1) == LieElement(ab.size, 1, expected)
 
 
 def test_graded_class_kills_deeper_words():

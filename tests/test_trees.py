@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from jfilt.trees import (
     flip_vertex,
     h_tree,
     make_graph,
+    parse_half,
     random_labeled_tree,
     rooted_bracket,
     span_check,
@@ -106,6 +108,30 @@ def test_validate_error_messages():
                             {"l0": [1], "l1": [1]}))
     with pytest.raises(ValidationError, match="length"):
         validate(tripod(2, (1, 0, 0), (0, 1), (0, 1)))
+
+
+_TRIPOD = tripod(2, (1, 0), (0, 1), (1, 1))
+_S = (("s", 0), ("s", 1), ("s", 2))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"vertices": _TRIPOD.vertices + (("l0", 1),)}, "duplicate vertex id 'l0'"),
+    ({"vertices": (("s", 3), ("l0", 1), ("l1", 1), ("l2", 2))}, "vertex 'l2' has arity 2"),
+    ({"edges": _TRIPOD.edges + ((("l0", 0), ("w", 0)),)}, "edge 3 uses unknown vertex 'w'"),
+    ({"edges": ((_S[0], ("l0", 0)), (_S[1], ("l0", 0)), (_S[2], ("l2", 0)))},
+     "half-edge l0.0 used twice"),
+    ({"cyclic": (("s", (_S[0], _S[1], _S[1])),)},
+     "cyclic order at 's' is not a permutation of its half-edges"),
+    ({"cyclic": _TRIPOD.cyclic + (("l0", (("l0", 0), ("l0", 1), ("l0", 2))),)},
+     "cyclic order at 'l0', which is not a trivalent vertex"),
+    ({"cyclic": _TRIPOD.cyclic + (("t", (_S[0], _S[2], _S[1])),)},
+     "cyclic order at 't', which is not a trivalent vertex"),
+    ({"labels": _TRIPOD.labels + (("s", (1, 0)),)}, "label on non-leaf vertex 's'"),
+])
+def test_validate_refuses_malformed_graphs(fields, message):
+    with pytest.raises(ValidationError) as info:
+        validate(replace(_TRIPOD, **fields))
+    assert message in str(info.value)
 
 
 def test_rooted_bracket_tripod():
@@ -414,11 +440,54 @@ def test_json_bad_payload():
     ({"vertices": [{"id": "u", "arity": "univalent"}, {"id": "s", "arity": "trivalent"},
                    {"id": "u", "arity": "trivalent"}], "edges": []},
      "duplicate vertex id 'u'"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [], "labels": {"u": [1.9, 0, 0]}},
+     "label of 'u' must be a list of integers"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [], "labels": {"u": ["2", 0, 0]}},
+     "label of 'u' must be a list of integers"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [], "labels": {"u": [True, 0]}},
+     "label of 'u' must be a list of integers"),
+    ({"vertices": [{"id": "u", "arity": "univalent"}], "edges": [], "labels": {"u": "12"}},
+     "label of 'u' must be a list of integers"),
 ])
 def test_json_rejects_malformed_records(data, message):
     with pytest.raises(ValidationError, match="^bad graph payload: ") as info:
         clasper_from_json(data)
     assert message in str(info.value)
+
+
+_TRIPOD_DOCUMENT = {
+    "vertices": [{"id": "s", "arity": "trivalent"}, {"id": "a", "arity": "univalent"},
+                 {"id": "b", "arity": "univalent"}, {"id": "c", "arity": "univalent"}],
+    "edges": [["s.0", "a.0"], ["s.1", "b.0"], ["s.2", "c.0"]],
+    "labels": {"a": [1, 0], "b": [0, 1], "c": [1, 1]},
+}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cyclic": {"t": ["s.0", "s.2", "s.1"], "a": ["a.0", "a.1", "a.2"]}},
+     "cyclic order at 'a', which is not a trivalent vertex; "
+     "cyclic order at 't', which is not a trivalent vertex"),
+    ({"edges": [["s.\u00b2", "a.0"], ["s.1", "b.0"], ["s.2", "c.0"]]},
+     "bad half-edge 's.\u00b2', expected 'vertexid.slot'"),
+    ({"edges": [["s." + "0" * 5000, "a.0"], ["s.1", "b.0"], ["s.2", "c.0"]]},
+     "bad half-edge 's.000"),
+])
+def test_json_graphs_the_checks_refuse_by_their_own_messages(fields, message):
+    # Refusals past the record checks: a half-edge text parse_half refuses,
+    # or a cyclic order at a vertex that is absent or not trivalent.
+    with pytest.raises(ValidationError) as info:
+        validate(clasper_from_json(dict(_TRIPOD_DOCUMENT, **fields)))
+    assert str(info.value).startswith(message)
+    assert "invalid literal" not in str(info.value)
+
+
+def test_parse_half_reads_short_ascii_slots():
+    assert parse_half("s.2") == ("s", 2)
+    assert parse_half("a.b.0") == ("a.b", 0)
+    assert parse_half("s." + "9" * 9) == ("s", 999999999)
+    for text in ("s.", ".0", "s.²", "s.٣", "s.+1", "s. 1", "s." + "1" * 10):
+        with pytest.raises(ValidationError, match="^bad half-edge "):
+            parse_half(text)
 
 
 @pytest.mark.parametrize("payload", [[1, 2], "g", 3, None])

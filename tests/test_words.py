@@ -653,3 +653,6 @@ def test_projection_and_embedding():
     assert render_word(back) == "y1 y2^3"
     xw = parse_word("x1 x2^-2", Alphabet(2, "x"))
     assert render_word(embed_word(xw, ab)) == "x1 x2^-2"
+    assert embed_word(w, ab) == w
+    with pytest.raises(ValidationError, match="full alphabet of the same genus"):
+        embed_word(w, Alphabet(1))
