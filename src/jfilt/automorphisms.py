@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_basis, dk_rank, tensor_from_components
-from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
+from .errors import InvariantError, PreconditionError, ValidationError, excerpt, payload_fields
 from .lie import LieElement, _leading_class, hall_basis, lift_lie_element
 from .snf import (
     Matrix,
@@ -581,7 +581,7 @@ def aut_from_json(data: dict) -> NilAut:
         except (TypeError, ValidationError):
             known = False
         if not known:
-            raise ValidationError("image key %r names no generator of genus %d" % (key, g))
+            raise ValidationError("image key %s names no generator of genus %d" % (excerpt(key), g))
     images = []
     for i in range(ab.size):
         name = ab.name(i)

@@ -1,13 +1,19 @@
 """Command-line surface: every module behind one batch-oriented driver.
 
+Each action (``jfilt aut invert FILE``) declares exactly the positionals and
+flags its handler reads; ``--csv`` and ``--out`` may also go before the
+command.  A handler returns its payload, and ``run`` parses, dispatches and
+renders in one place.
+
 Exit codes: 0 on success, 1 when a check the command runs fails (``selftest``,
 ``lagrangian gap-table``, ``graph census``), 2 on validation problems
-(malformed input, graphs that fail structural checks, trees handed to the
-orienter), 3 on violated operation preconditions, 4 when a result fails an
-internal invariant check (a bug).  Output is JSON in canonical key order by
-default, CSV with ``--csv``; ``--out`` redirects to a file.  The environment variable
-``JFILT_MAX_DEGREE`` (default 8) caps every level/degree argument so a typo
-cannot start an astronomically large computation.
+(a malformed command line or input, graphs that fail structural checks,
+trees handed to the orienter), 3 on violated operation preconditions, 4 when
+a result fails an internal invariant check (a bug).  Output is JSON in
+canonical key order by default, CSV with ``--csv``; ``--out`` redirects to a
+file.  The environment variable ``JFILT_MAX_DEGREE`` (default 8) caps every
+level/degree argument and every level read from a file, so a typo cannot
+start an astronomically large computation.
 """
 
 from __future__ import annotations
@@ -49,17 +55,14 @@ from .orientation import (
 from .trees import clasper_from_json, span_check, tree_to_dk, validate
 
 
-def _max_degree() -> int:
+def _check_degree(value: Optional[int], name: str) -> Optional[int]:
+    """``value`` if within the cap; ``None`` (a flag not given) passes."""
     raw = os.environ.get("JFILT_MAX_DEGREE", "8")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValidationError("JFILT_MAX_DEGREE must be an integer, got %r" % raw)
-
-
-def _check_degree(value: int, name: str) -> int:
-    cap = _max_degree()
-    if value > cap:
+    if value is not None and value > cap:
         raise PreconditionError(
             "%s = %d exceeds JFILT_MAX_DEGREE = %d" % (name, value, cap)
         )
@@ -92,6 +95,12 @@ def _load_aut(path: str, level: Optional[int]):
     return h
 
 
+def _load_tuple(path: str):
+    t = tuple_from_json(_load_json(path))
+    _check_degree(t.level, "level")
+    return t
+
+
 def _csv_escape(value) -> str:
     if value is None:
         text = ""
@@ -105,6 +114,9 @@ def _csv_escape(value) -> str:
 
 
 def _render(payload, csv: bool) -> str:
+    """JSON, or CSV with ``csv``; text (the selftest report) as it is."""
+    if isinstance(payload, str):
+        return payload
     if not csv:
         return json.dumps(payload, indent=2, sort_keys=True)
     if isinstance(payload, list) and payload and isinstance(payload[0], dict):
@@ -123,92 +135,208 @@ def _render(payload, csv: bool) -> str:
     return str(payload)
 
 
-def _emit(payload, args) -> None:
-    _write(_render(payload, args.csv), args)
+def _witt(args):
+    return witt_dimension(args.n, _check_degree(args.k, "k"))
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError("cannot write %s: %s" % (args.out, exc))
-    else:
-        print(text)
+def _dk_rank(args):
+    return {"n": args.n, "k": args.k, "rank": dk_rank(args.n, _check_degree(args.k, "k"))}
 
 
-def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
-    # The top-level parser owns the defaults; the per-subcommand copies use
-    # SUPPRESS so a flag given before the subcommand is not clobbered by the
-    # subparser's defaults.  Either position works.
-    d = {} if top else {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--csv", action="store_true", help="tabular output as CSV", **d
+def _dk_basis(args):
+    basis = dk_basis(args.n, _check_degree(args.k, "k"))
+    return {"n": args.n, "k": args.k, "rank": len(basis), "basis": [tensor_to_json(b) for b in basis]}
+
+
+def _a1(args):
+    return {"g": args.g, "dimensions": list(a1_dimensions(args.g))}
+
+
+def _tree_image(args):
+    g = clasper_from_json(_load_json(args.file))
+    _check_degree(validate(g).degree, "tree degree")
+    return tensor_to_json(tree_to_dk(g))
+
+
+def _tree_span(args):
+    span, kernel = span_check(args.n, _check_degree(args.k, "k"))
+    return {"n": args.n, "k": args.k, "span_rank": span, "kernel_rank": kernel, "equal": span == kernel}
+
+
+def _aut_compose(args):
+    h = _load_aut(args.file, args.level)
+    for path in args.files:
+        h = compose(h, _load_aut(path, args.level))
+    return aut_to_json(h)
+
+
+def _aut_invert(args):
+    return aut_to_json(invert_aut(_load_aut(args.file, args.level)))
+
+
+def _aut_check_aut0(args):
+    return {"check_aut0": check_aut0(_load_aut(args.file, args.level))}
+
+
+def _aut_degree(args):
+    return {"filtration_degree": filtration_degree(_load_aut(args.file, args.level))}
+
+
+def _aut_johnson(args):
+    h = _load_aut(args.file, args.level)
+    k = _k_or_default(args.k, h, filtration_degree)
+    return {"k": k, "tensor": tensor_to_json(johnson_element(h, k))}
+
+
+def _stringlink_phi(args):
+    return aut_to_json(phi_hat(_load_tuple(args.file), _check_degree(args.level, "level")))
+
+
+def _stringlink_psi(args):
+    return aut_to_json(psi_hat(_load_tuple(args.file), _check_degree(args.level, "level")))
+
+
+def _stringlink_compose(args):
+    return tuple_to_json(milnor_compose(*[_load_tuple(path) for path in args.files]))
+
+
+def _stringlink_extract(args):
+    h = _load_aut(args.file, args.level)
+    return tuple_to_json(extract_longitudes(h, _k_or_default(args.k, h, filtration_degree)))
+
+
+def _lagrangian_jl(args):
+    h = _load_aut(args.file, args.level)
+    report = jl_element(h, _k_or_default(args.k, h, lagrangian_degree))
+    return {"g": report.genus, "k": report.k, "value": tensor_to_json(report.value), "in_hat": report.in_hat}
+
+
+def _lagrangian_degree(args):
+    return {"lagrangian_degree": lagrangian_degree(_load_aut(args.file, args.level))}
+
+
+def _lagrangian_cocycle(args):
+    h1, h2 = [_load_aut(path, args.level) for path in args.files]
+    return {"k": args.k, "holds": cocycle_check(h1, h2, _check_degree(args.k, "k"))}
+
+
+def _gap_table(args):
+    _check_degree(args.kmax, "kmax")
+    if max(args.gmax - 1, 0) * args.kmax > MAX_GAP_ROWS:
+        raise PreconditionError(
+            "gap table of (gmax - 1) * kmax = %d rows exceeds the bound of %d"
+            % ((args.gmax - 1) * args.kmax, MAX_GAP_ROWS)
+        )
+    rows = gap_table([(g, k) for k in range(1, args.kmax + 1) for g in range(2, args.gmax + 1)])
+    bad = sum(1 for r in rows if r["match"] is False)
+    return rows, ("%d rows disagree with the closed forms" % bad if bad else None)
+
+
+def _graph_orient(args):
+    g = clasper_from_json(_load_json(args.file))
+    orientation = orient(g)
+    return {"orientation": orientation_to_json(orientation), "dot": oriented_dot(g, orientation)}
+
+
+def _graph_count(args):
+    return {"count": count_valid_orientations(clasper_from_json(_load_json(args.file)))}
+
+
+def _graph_census(args):
+    rows, mismatches = census(_check_degree(args.tmax, "tmax"))
+    bad = len(mismatches)
+    return rows, ("%d graphs disagree with the cycle-rank criterion" % bad if bad else None)
+
+
+def _selftest(args):
+    results = run_all(args.seed)
+    text = "\n".join(
+        "CRITERION %2d %s (%.2fs): %s — %s"
+        % (r.number, "PASS" if r.ok else "FAIL", r.seconds, r.name, r.detail)
+        for r in results
     )
-    parser.add_argument(
-        "--seed", type=int, help="seed for randomized checks", **({"default": 0} if top else d)
-    )
-    parser.add_argument(
-        "--level", type=int, help="working level q", **({"default": None} if top else d)
-    )
-    parser.add_argument(
-        "--out", help="write output to this file", **({"default": None} if top else d)
-    )
+    bad = sum(1 for r in results if not r.ok)
+    return text, ("%d of %d criteria failed" % (bad, len(results)) if bad else None)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValidationError`` where argparse would print its usage and
+    exit 2, so that ``run`` reports a malformed command line as it reports
+    malformed input."""
+
+    def error(self, message):
+        raise ValidationError("%s: %s" % (self.prog, message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jfilt", description="exact filtration and tree-kernel calculator"
+    parser = _Parser(prog="jfilt", description="exact filtration and tree-kernel calculator")
+    parser.add_argument("--csv", action="store_true", help="tabular output as CSV")
+    parser.add_argument("--out", help="write output to this file")
+    # The flag sets actions read, as parents.  An action's copies of --csv
+    # and --out default to SUPPRESS, so that one given before the command is
+    # not clobbered by the action's default.
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=argparse.SUPPRESS, help="write output to this file")
+    csv = _Parser(add_help=False, parents=[out])
+    csv.add_argument("--csv", action="store_true", default=argparse.SUPPRESS, help="tabular output as CSV")
+    level = _Parser(add_help=False, parents=[csv])
+    level.add_argument("--level", type=int, help="working level q")
+    level_k = _Parser(add_help=False, parents=[level])
+    level_k.add_argument("--k", type=int, help="degree k (default: read off the input)")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def action(sub, name, handler, flags, *positionals, files=None, **kwargs):
+        # Positionals are integers but "file"; ``files`` is the nargs of "files".
+        p = sub.add_parser(name, parents=[flags], **kwargs)
+        p.set_defaults(handler=handler)
+        for dest in positionals:
+            p.add_argument(dest, **({} if dest == "file" else {"type": int}))
+        if files:
+            p.add_argument("files", nargs=files)
+        return p
+
+    def group(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    action(commands, "witt", _witt, csv, "n", "k", help="free Lie algebra rank in one degree")
+    action(commands, "a1", _a1, csv, "g", help="degree-1 dimension pair")
+    action(commands, "selftest", _selftest, out, help="run the acceptance criteria").add_argument(
+        "--seed", type=int, default=0, help="seed for randomized checks"
     )
-    _add_common(parser, top=True)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, top=False)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witt", parents=[common], help="free Lie algebra rank in one degree")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    sub = group("dk", "contraction-kernel rank or basis")
+    action(sub, "rank", _dk_rank, csv, "n", "k")
+    action(sub, "basis", _dk_basis, csv, "n", "k")
 
-    p = sub.add_parser("dk", parents=[common], help="contraction-kernel rank or basis")
-    p.add_argument("action", choices=["rank", "basis"])
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    sub = group("tree", "labeled tree image / span of tree images")
+    action(sub, "image", _tree_image, csv, "file")
+    action(sub, "span", _tree_span, csv, "n", "k")
 
-    p = sub.add_parser("a1", parents=[common], help="degree-1 dimension pair")
-    p.add_argument("g", type=int)
+    sub = group("aut", "automorphism operations")
+    action(sub, "compose", _aut_compose, level, "file", files="+")
+    action(sub, "invert", _aut_invert, level, "file")
+    action(sub, "check-aut0", _aut_check_aut0, level, "file")
+    action(sub, "degree", _aut_degree, level, "file")
+    action(sub, "johnson", _aut_johnson, level_k, "file")
 
-    p = sub.add_parser("tree", parents=[common], help="labeled tree image / span of tree images")
-    p.add_argument("action", choices=["image", "span"])
-    p.add_argument("args", nargs="+")
+    sub = group("stringlink", "longitude-tuple operations")
+    action(sub, "phi", _stringlink_phi, level, "file")
+    action(sub, "psi", _stringlink_psi, level, "file")
+    action(sub, "compose", _stringlink_compose, csv, files=2)
+    action(sub, "extract", _stringlink_extract, level_k, "file")
 
-    p = sub.add_parser("aut", parents=[common], help="automorphism operations")
-    p.add_argument(
-        "action", choices=["compose", "invert", "check-aut0", "johnson", "degree"]
-    )
-    p.add_argument("files", nargs="+")
-    p.add_argument("--k", type=int, default=None)
-
-    p = sub.add_parser("stringlink", parents=[common], help="longitude-tuple operations")
-    p.add_argument("action", choices=["phi", "psi", "compose", "extract"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--k", type=int, default=None)
-
-    p = sub.add_parser("lagrangian", parents=[common], help="Lagrangian filtration operations")
-    p.add_argument("action", choices=["jl", "degree", "cocycle", "gap-table"])
-    p.add_argument("files", nargs="*")
-    p.add_argument("--k", type=int, default=None)
+    sub = group("lagrangian", "Lagrangian filtration operations")
+    action(sub, "jl", _lagrangian_jl, level_k, "file")
+    action(sub, "degree", _lagrangian_degree, level, "file")
+    action(sub, "cocycle", _lagrangian_cocycle, level, files=2).add_argument("--k", type=int, default=1)
+    p = action(sub, "gap-table", _gap_table, csv)
     p.add_argument("--gmax", type=int, default=5)
     p.add_argument("--kmax", type=int, default=3)
 
-    p = sub.add_parser(
-        "graph", parents=[common], help="orient a unitrivalent graph, or census small ones"
-    )
-    p.add_argument("action", choices=["orient", "count", "census"])
-    p.add_argument("file", nargs="?")
-    p.add_argument("--tmax", type=int, default=4)
-
-    sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")
+    sub = group("graph", "orient a unitrivalent graph, or census small ones")
+    action(sub, "orient", _graph_orient, csv, "file")
+    action(sub, "count", _graph_count, csv, "file")
+    action(sub, "census", _graph_census, csv).add_argument("--tmax", type=int, default=4)
     return parser
 
 
@@ -216,202 +344,23 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _cmd_tree(args) -> None:
-    if args.action == "image":
-        if len(args.args) != 1:
-            raise ValidationError("tree image takes exactly one graph file")
-        g = clasper_from_json(_load_json(args.args[0]))
-        _check_degree(validate(g).degree, "tree degree")
-        _emit(tensor_to_json(tree_to_dk(g)), args)
-    else:
-        if len(args.args) != 2:
-            raise ValidationError("tree span takes n and k")
-        try:
-            n, k = int(args.args[0]), int(args.args[1])
-        except ValueError:
-            raise ValidationError("tree span takes integers n and k")
-        _check_degree(k, "k")
-        span, kernel = span_check(n, k)
-        _emit(
-            {"n": n, "k": k, "span_rank": span, "kernel_rank": kernel, "equal": span == kernel},
-            args,
-        )
-
-
-def _cmd_aut(args) -> None:
-    if args.action == "compose":
-        if len(args.files) < 2:
-            raise ValidationError("aut compose takes at least two automorphism files")
-        h = _load_aut(args.files[0], args.level)
-        for path in args.files[1:]:
-            h = compose(h, _load_aut(path, args.level))
-        _emit(aut_to_json(h), args)
-        return
-    if len(args.files) != 1:
-        raise ValidationError("aut %s takes exactly one automorphism file" % args.action)
-    h = _load_aut(args.files[0], args.level)
-    if args.action == "invert":
-        _emit(aut_to_json(invert_aut(h)), args)
-    elif args.action == "check-aut0":
-        _emit({"check_aut0": check_aut0(h)}, args)
-    elif args.action == "degree":
-        _emit({"filtration_degree": filtration_degree(h)}, args)
-    else:  # johnson
-        k = _k_or_default(args.k, h, filtration_degree)
-        tensor = johnson_element(h, k)
-        _emit({"k": k, "tensor": tensor_to_json(tensor)}, args)
-
-
-def _cmd_stringlink(args) -> None:
-    if args.action == "compose":
-        if len(args.files) != 2:
-            raise ValidationError("stringlink compose takes two tuple files")
-        a = tuple_from_json(_load_json(args.files[0]))
-        b = tuple_from_json(_load_json(args.files[1]))
-        _emit(tuple_to_json(milnor_compose(a, b)), args)
-        return
-    if len(args.files) != 1:
-        raise ValidationError("stringlink %s takes exactly one file" % args.action)
-    if args.action == "extract":
-        h = _load_aut(args.files[0], args.level)
-        k = _k_or_default(args.k, h, filtration_degree)
-        _emit(tuple_to_json(extract_longitudes(h, k)), args)
-        return
-    t = tuple_from_json(_load_json(args.files[0]))
-    _check_degree(t.level, "level")
-    q = args.level
-    if q is not None:
-        _check_degree(q, "level")
-    builder = phi_hat if args.action == "phi" else psi_hat
-    _emit(aut_to_json(builder(t, q)), args)
-
-
-def _cmd_lagrangian(args) -> int:
-    if args.action == "gap-table":
-        _check_degree(args.kmax, "kmax")
-        if max(args.gmax - 1, 0) * args.kmax > MAX_GAP_ROWS:
-            raise PreconditionError(
-                "gap table of (gmax - 1) * kmax = %d rows exceeds the bound of %d"
-                % ((args.gmax - 1) * args.kmax, MAX_GAP_ROWS)
-            )
-        pairs = [
-            (g, k)
-            for k in range(1, args.kmax + 1)
-            for g in range(2, args.gmax + 1)
-        ]
-        rows = gap_table(pairs)
-        _emit(rows, args)
-        bad = sum(1 for r in rows if r["match"] is False)
-        if bad:
-            print("error: %d rows disagree with the closed forms" % bad, file=sys.stderr)
-            return 1
-        return 0
-    if args.action == "cocycle":
-        if len(args.files) != 2:
-            raise ValidationError("lagrangian cocycle takes two automorphism files")
-        h1 = _load_aut(args.files[0], args.level)
-        h2 = _load_aut(args.files[1], args.level)
-        k = args.k if args.k is not None else 1
-        _check_degree(k, "k")
-        _emit({"k": k, "holds": cocycle_check(h1, h2, k)}, args)
-        return 0
-    if len(args.files) != 1:
-        raise ValidationError("lagrangian %s takes one automorphism file" % args.action)
-    h = _load_aut(args.files[0], args.level)
-    if args.action == "degree":
-        _emit({"lagrangian_degree": lagrangian_degree(h)}, args)
-    else:  # jl
-        k = _k_or_default(args.k, h, lagrangian_degree)
-        report = jl_element(h, k)
-        _emit(
-            {
-                "g": report.genus,
-                "k": report.k,
-                "value": tensor_to_json(report.value),
-                "in_hat": report.in_hat,
-            },
-            args,
-        )
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    if (args.file is None) != (args.action == "census"):
-        raise ValidationError("graph census takes no file; graph orient and count take one")
-    if args.action == "census":
-        rows, mismatches = census(_check_degree(args.tmax, "tmax"))
-        _emit(rows, args)
-        if mismatches:
-            print(
-                "error: %d graphs disagree with the cycle-rank criterion" % len(mismatches),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    g = clasper_from_json(_load_json(args.file))
-    if args.action == "orient":
-        orientation = orient(g)
-        _emit(
-            {
-                "orientation": orientation_to_json(orientation),
-                "dot": oriented_dot(g, orientation),
-            },
-            args,
-        )
-    else:
-        _emit({"count": count_valid_orientations(g)}, args)
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    results = run_all(args.seed)
-    _write(
-        "\n".join(
-            "CRITERION %2d %s (%.2fs): %s — %s"
-            % (r.number, "PASS" if r.ok else "FAIL", r.seconds, r.name, r.detail)
-            for r in results
-        ),
-        args,
-    )
-    return 0 if all(r.ok for r in results) else 1
-
-
 def run(argv: List[str]) -> int:
-    args = _PARSER.parse_args(argv)
+    """Parse ``argv``, run its action's handler and write what it returns:
+    the payload, or for a command that runs a check, the payload and a
+    complaint (None when the check passed)."""
     try:
-        if args.command == "witt":
-            _check_degree(args.k, "k")
-            _emit(witt_dimension(args.n, args.k), args)
-        elif args.command == "dk":
-            _check_degree(args.k, "k")
-            if args.action == "rank":
-                _emit({"n": args.n, "k": args.k, "rank": dk_rank(args.n, args.k)}, args)
-            else:
-                basis = dk_basis(args.n, args.k)
-                _emit(
-                    {
-                        "n": args.n,
-                        "k": args.k,
-                        "rank": len(basis),
-                        "basis": [tensor_to_json(b) for b in basis],
-                    },
-                    args,
-                )
-        elif args.command == "a1":
-            first, second = a1_dimensions(args.g)
-            _emit({"g": args.g, "dimensions": [first, second]}, args)
-        elif args.command == "tree":
-            _cmd_tree(args)
-        elif args.command == "aut":
-            _cmd_aut(args)
-        elif args.command == "stringlink":
-            _cmd_stringlink(args)
-        elif args.command == "lagrangian":
-            return _cmd_lagrangian(args)
-        elif args.command == "graph":
-            return _cmd_graph(args)
-        elif args.command == "selftest":
-            return _cmd_selftest(args)
+        args = _PARSER.parse_args(argv)
+        payload = args.handler(args)
+        payload, complaint = payload if isinstance(payload, tuple) else (payload, None)
+        text = _render(payload, args.csv)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValidationError("cannot write %s: %s" % (args.out, exc))
+        else:
+            print(text)
     except (NotOrientable, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -421,6 +370,9 @@ def run(argv: List[str]) -> int:
     except InvariantError as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 4
+    if complaint:
+        print("error: %s" % complaint, file=sys.stderr)
+        return 1
     return 0
 
 

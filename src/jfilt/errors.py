@@ -6,7 +6,7 @@ violates a documented precondition of an operation.  InvariantError is a
 result failing a check the mathematics guarantees: a bug, not bad input.
 The ``jfilt`` command maps the three to exit codes 2, 3 and 4.
 ``payload_fields`` is the one check of a JSON document's fields that every
-reader makes.
+reader makes, and ``excerpt`` the one way a refusal quotes the input.
 """
 
 
@@ -24,6 +24,20 @@ class InvariantError(RuntimeError):
 
 class NotOrientable(Exception):
     """Raised when a unitrivalent graph admits no source-free orientation."""
+
+
+# Most characters of the input a refusal quotes.
+_EXCERPT = 40
+
+
+def excerpt(value) -> str:
+    """The repr of a value that a refusal quotes.  A repr longer than
+    ``_EXCERPT`` characters is cut there and followed by the length (a
+    string's own, else the repr's), so that the refusal stays one short line."""
+    text = repr(value)
+    if len(text) <= _EXCERPT:
+        return text
+    return "%s... (%d characters)" % (text[:_EXCERPT], len(value) if isinstance(value, str) else len(text))
 
 
 # The JSON name of each field type a reader asks for.

@@ -36,7 +36,7 @@ from itertools import combinations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .brackets import TensorElement, bracket_map, dk_rank
-from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
+from .errors import InvariantError, PreconditionError, ValidationError, excerpt, payload_fields
 from .lie import LieElement, Words, bracket_words
 from .snf import eliminate
 
@@ -61,7 +61,7 @@ def parse_half(text: str) -> Half:
     # str.isdigit alone passes digits such as "²" that int() refuses, and
     # slots too long for int(); a slot is 1 to 9 ASCII digits.
     if not head or not (tail.isascii() and tail.isdigit()) or len(tail) > 9:
-        raise ValidationError("bad half-edge %r, expected 'vertexid.slot'" % (text,))
+        raise ValidationError("bad half-edge %s, expected 'vertexid.slot'" % (excerpt(text),))
     return head, int(tail)
 
 
@@ -151,14 +151,14 @@ def clasper_from_json(data: dict) -> ClasperGraph:
                 "bad graph payload: vertex %d must be an object with a string id and an arity" % i
             )
         if v["id"] in arities:
-            raise ValidationError("bad graph payload: duplicate vertex id %r" % v["id"])
+            raise ValidationError("bad graph payload: duplicate vertex id %s" % excerpt(v["id"]))
         arity = v["arity"]
         if isinstance(arity, str) and arity in _ARITY_NAMES:
             arity = _ARITY_NAMES[arity]
         elif not isinstance(arity, int) or isinstance(arity, bool):
             raise ValidationError(
-                "bad graph payload: vertex %r has arity %r, expected 'univalent' or 'trivalent'"
-                % (v["id"], arity)
+                "bad graph payload: vertex %s has arity %s, expected 'univalent' or 'trivalent'"
+                % (excerpt(v["id"]), excerpt(arity))
             )
         arities[v["id"]] = arity
     for i, e in enumerate(edges):
@@ -167,18 +167,13 @@ def clasper_from_json(data: dict) -> ClasperGraph:
     for vid, order in cyclic.items():
         if not _half_edges(order, 3):
             raise ValidationError(
-                "bad graph payload: cyclic order of %r must be a list of 3 half-edge strings" % vid
+                "bad graph payload: cyclic order of %s must be a list of 3 half-edge strings" % excerpt(vid)
             )
     for vid, vec in labels.items():
         if not (isinstance(vec, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in vec)):
-            raise ValidationError("bad graph payload: label of %r must be a list of integers" % vid)
-    try:
-        n = data["n"] if "n" in data else len(next(iter(labels.values()), ()))
-        return make_graph(n, arities, edges, labels, cyclic)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad graph payload: %s" % (exc,))
+            raise ValidationError("bad graph payload: label of %s must be a list of integers" % excerpt(vid))
+    n = data["n"] if "n" in data else len(next(iter(labels.values()), ()))
+    return make_graph(n, arities, edges, labels, cyclic)
 
 
 def clasper_to_json(g: ClasperGraph) -> dict:

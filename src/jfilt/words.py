@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, excerpt
 
 FULL = "full"
 Y_ONLY = "y"
@@ -54,14 +54,17 @@ class Alphabet:
     def index(self, name: str) -> int:
         m = _GENERATOR.fullmatch(name)
         if not m:
-            raise ValidationError("bad generator name %r" % (name,))
-        letter, num = m.group(1), int(m.group(2))
+            raise ValidationError("bad generator name %s" % (excerpt(name),))
+        # A number with more digits than the genus is out of range, and may
+        # be too long for int() to convert.
+        letter, digits = m.group(1), m.group(2).lstrip("0")
+        num = int(digits) if 0 < len(digits) <= len(str(self.genus)) else 0
         if not 1 <= num <= self.genus:
-            raise ValidationError("generator %r out of range for genus %d" % (name, self.genus))
+            raise ValidationError("generator %s out of range for genus %d" % (excerpt(name), self.genus))
         if self.kind == FULL:
             return num - 1 if letter == "x" else self.genus + num - 1
         if (self.kind == Y_ONLY) != (letter == "y"):
-            raise ValidationError("generator %r not in this alphabet" % (name,))
+            raise ValidationError("generator %s not in this alphabet" % (excerpt(name),))
         return num - 1
 
 

@@ -43,6 +43,7 @@ from jfilt.automorphisms import (
 )
 from jfilt.brackets import dk_basis, dk_rank, tensor_from_json, tensor_to_json
 from jfilt.cli import _build_parser, run
+from jfilt.errors import ValidationError, excerpt
 from jfilt.lagrangian import jl_element
 from jfilt.lie import witt_dimension
 from jfilt.trees import clasper_to_json, make_graph, random_labeled_tree, tree_to_dk
@@ -523,10 +524,10 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "witt", "2", "3", "--out", str(tmp_path / "missing" / "x.json"))
     assert code == 2
     assert "cannot write" in err
-    for n, k in (("2", "abc"), ("x", "2"), ("2", "1e3")):
+    for n, k, bad in (("2", "abc", "k"), ("x", "2", "n"), ("2", "1e3", "k")):
         code, _, err = invoke(capsys, "tree", "span", n, k)
         assert code == 2, (n, k, err)
-        assert "tree span takes integers" in err
+        assert "argument %s: invalid int value: %r" % (bad, n if bad == "n" else k) in err
     # Graph files whose labels are not an object.
     for labels in (1, "a", [], None, True):
         path = write_json(tmp_path, "labels.json", dict(theta_payload(), labels=labels))
@@ -813,8 +814,110 @@ def test_readme_cli_block_parses():
     for argv in commands:
         try:
             parser.parse_args(argv[1:])
-        except SystemExit:
+        except ValidationError:
             pytest.fail("README line does not parse: %s" % " ".join(argv))
+
+
+# Each action: the positionals of a call it accepts, a flag it does not read,
+# and a call with a non-integer where it declares an integer (None if it
+# declares none).  "F.json" is never created: the parser refuses first, and
+# a call it let through would end in "cannot read".
+ACTIONS = [
+    ("witt", ["4", "3"], ["--seed", "1"], ["4", "x"]),
+    ("dk rank", ["4", "2"], ["--level", "3"], ["x", "2"]),
+    ("dk basis", ["4", "2"], ["--k", "1"], ["4", "2.0"]),
+    ("a1", ["2"], ["--level", "3"], ["x"]),
+    ("tree image", ["F.json"], ["--level", "3"], None),
+    ("tree span", ["4", "2"], ["--seed", "1"], ["2", "abc"]),
+    ("aut compose", ["F.json", "F.json"], ["--k", "1"], ["F.json", "F.json", "--level", "x"]),
+    ("aut invert", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("aut check-aut0", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("aut degree", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("aut johnson", ["F.json"], ["--seed", "1"], ["F.json", "--k", "x"]),
+    ("stringlink phi", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("stringlink psi", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("stringlink compose", ["F.json", "F.json"], ["--level", "3"], None),
+    ("stringlink extract", ["F.json"], ["--tmax", "1"], ["F.json", "--k", "x"]),
+    ("lagrangian jl", ["F.json"], ["--gmax", "3"], ["F.json", "--k", "2.5"]),
+    ("lagrangian degree", ["F.json"], ["--k", "1"], ["F.json", "--level", "x"]),
+    ("lagrangian cocycle", ["F.json", "F.json"], ["--kmax", "1"], ["F.json", "F.json", "--k", "x"]),
+    ("lagrangian gap-table", [], ["--level", "3"], ["--gmax", "x"]),
+    ("graph orient", ["F.json"], ["--tmax", "4"], None),
+    ("graph count", ["F.json"], ["--level", "3"], None),
+    ("graph census", [], ["--seed", "1"], ["--tmax", "x"]),
+    ("selftest", [], ["--csv"], ["--seed", "x"]),
+]
+
+
+def _malformed_command_lines():
+    for action, positionals, stray, non_integer in ACTIONS:
+        argv = action.split()
+        if positionals:
+            yield pytest.param(argv + positionals[:-1], id="%s-missing" % action)
+        if action != "aut compose":  # which takes any number of files past two
+            yield pytest.param(argv + positionals + ["F.json"], id="%s-extra" % action)
+        yield pytest.param(argv + positionals + stray, id="%s-stray-flag" % action)
+        if non_integer:
+            yield pytest.param(argv + non_integer, id="%s-non-integer" % action)
+
+
+@pytest.mark.parametrize("argv", _malformed_command_lines())
+def test_malformed_command_lines_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == "", (argv, err)
+    assert err.startswith("error: jfilt") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_only_csv_and_out_go_before_the_command(capsys, tmp_path):
+    path = write_json(tmp_path, "h.json", aut_to_json(kernel_aut()))
+    target = tmp_path / "out.json"
+    code, out, _ = invoke(capsys, "--csv", "--out", str(target), "aut", "degree", path)
+    assert (code, out, target.read_text()) == (0, "", "filtration_degree,1\n")
+    for flag in (["--level", "3"], ["--k", "1"], ["--seed", "1"]):
+        code, out, err = invoke(capsys, *flag, "aut", "johnson", path)
+        assert code == 2 and out == "" and err.startswith("error: jfilt: "), (flag, err)
+    with pytest.raises(SystemExit) as info:
+        run(["aut", "invert", "--help"])
+    assert info.value.code == 0
+    assert "--level" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["aut", "degree"], {"g": 1, "q": 3, "images": {"x1": "x" + "1" * 5000, "y1": "y1"}},
+     "generator 'x111"),
+    (["aut", "degree"], {"g": 1, "q": 3, "images": {"x1": "x" + "1" * 400, "y1": "y1"}},
+     "generator 'x111"),
+    (["aut", "degree"], {"g": 1, "q": 3, "images": {"x" + "1" * 5000: "x1", "x1": "x1", "y1": "y1"}},
+     "image key 'x111"),
+    (["stringlink", "phi"], {"g": 2, "q": 3, "kind": "y", "entries": ["y" + "1" * 5000, "y1"]},
+     "generator 'y111"),
+    (["tree", "image"], dict(theta_payload(), edges=[["a." + "1" * 5000, "b.0"]]),
+     "bad half-edge 'a.111"),
+    (["tree", "image"], dict(theta_payload(), vertices=[{"id": "v" * 5000, "arity": "bivalent"}]),
+     "bad graph payload: vertex 'vvv"),
+])
+def test_refusals_quote_long_input_in_one_short_line(capsys, tmp_path, argv, document, message):
+    # These refusals used to copy the whole text to stderr (up to 5,091
+    # bytes), and the 5,000-digit generators ended in int()'s traceback.
+    code, out, err = invoke(capsys, *argv, write_json(tmp_path, "long.json", document))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and " characters)" in err
+    assert len(err) < 200 and err.count("\n") == 1
+
+
+def test_excerpt_keeps_short_values_whole():
+    assert excerpt("x2") == "'x2'" and excerpt([3]) == "[3]"
+    assert excerpt("a" * 41) == "'" + "a" * 39 + "... (41 characters)"
+    assert excerpt(list(range(100))).endswith("... (390 characters)")
+
+
+def test_stringlink_commands_cap_the_level_of_every_tuple(capsys, tmp_path):
+    path = write_json(tmp_path, "t40.json", {"g": 1, "q": 40, "kind": "y", "entries": ["y1"]})
+    for argv in (["phi", path], ["psi", path], ["compose", path, path]):
+        code, out, err = invoke(capsys, "stringlink", *argv)
+        assert code == 3 and out == "", (argv, err)
+        assert err == "precondition violated: level = 40 exceeds JFILT_MAX_DEGREE = 8\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -840,8 +943,8 @@ def test_selftest_writes_out(capsys, tmp_path, monkeypatch):
     results = [CriterionResult(1, "one", True, "fine", 0.5), CriterionResult(2, "two", False, "broken", 0.25)]
     monkeypatch.setattr(jfilt.cli, "run_all", lambda seed: results)
     path = tmp_path / "selftest.txt"
-    code, out, _ = invoke(capsys, "selftest", "--out", str(path))
-    assert (code, out) == (1, "")
+    code, out, err = invoke(capsys, "selftest", "--out", str(path))
+    assert (code, out, err) == (1, "", "error: 1 of 2 criteria failed\n")
     assert path.read_text(encoding="utf-8") == (
         "CRITERION  1 PASS (0.50s): one — fine\n"
         "CRITERION  2 FAIL (0.25s): two — broken\n"

@@ -150,6 +150,17 @@ def test_alphabet_mismatch_raises():
         generator(FULL1, 0) * generator(FULL2, 0)
 
 
+def test_alphabet_index_refuses_long_numbers_before_converting_them():
+    # 5,000 digits are past what int() converts: the index used to raise
+    # int()'s ValueError, which the CLI printed as a traceback.
+    for name in ("x" + "1" * 5000, "y" + "1" * 5000, "x" + "0" * 5000, "x10", "x0"):
+        with pytest.raises(ValidationError, match="out of range for genus 2") as info:
+            FULL2.index(name)
+        assert len(str(info.value)) < 100
+    assert FULL2.index("x" + "0" * 5000 + "2") == FULL2.index("x2") == 1
+    assert Alphabet(12).index("y12") == 23
+
+
 @settings(max_examples=60, deadline=None)
 @given(words_over(FULL2), words_over(FULL2))
 def test_magnus_is_a_homomorphism(u, v):
