@@ -52,7 +52,7 @@ from .orientation import (
     orientation_to_json,
     oriented_dot,
 )
-from .trees import clasper_from_json, span_check, tree_to_dk, validate
+from .trees import clasper_from_json, span_check, tree_to_dk
 
 
 def _check_degree(value: Optional[int], name: str) -> Optional[int]:
@@ -154,7 +154,7 @@ def _a1(args):
 
 def _tree_image(args):
     g = clasper_from_json(_load_json(args.file))
-    _check_degree(validate(g).degree, "tree degree")
+    _check_degree(g.info.degree, "tree degree")
     return tensor_to_json(tree_to_dk(g))
 
 
@@ -377,7 +377,15 @@ def run(argv: List[str]) -> int:
 
 
 def entry() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``jfilt dk basis 6 3 | head``); point
+        # stdout at devnull so that the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

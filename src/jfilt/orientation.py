@@ -17,8 +17,8 @@ picks up an incoming arrow along the way.  The verifier re-checks (i) and
 
 ``count_valid_orientations`` counts by inclusion–exclusion over the sets S
 of trivalent vertices forced to be sources.  Leaf edges are forced by (i).
-(A leaf–leaf edge, a strut, would admit no direction, but ``validate``
-refuses it as a component with no trivalent vertex.)  Let N(S) count the
+(A leaf–leaf edge, a strut, would admit no direction, but no graph holds
+one: it is a component with no trivalent vertex.)  Let N(S) count the
 orientations that satisfy (i) and make every vertex of S a source.  An
 internal edge with both ends in S, or a loop at a vertex of S, cannot leave
 both ends without an incoming arrow, so N(S) = 0; an internal edge with one
@@ -41,7 +41,6 @@ from .trees import (
     _union_find,
     assemble_unitrivalent,
     render_half,
-    validate,
 )
 
 # edge index -> (tail half, head half)
@@ -83,10 +82,9 @@ def orient(g: ClasperGraph) -> Orientation:
     vertex id; each non-tree edge is directed from its lesser half-edge to
     its greater; the flood starts at the head of the least such inward stub.
     """
-    info = validate(g)
-    if not info.connected:
+    if not g.info.connected:
         raise ValidationError("graph must be connected")
-    if info.is_tree:
+    if g.info.is_tree:
         raise NotOrientable("tree: not orientable")
 
     adjacency = _adjacency(g)
@@ -162,8 +160,7 @@ def count_valid_orientations(g: ClasperGraph) -> int:
 
     Takes O(2^t E) steps for t trivalent vertices and E edges.
     """
-    info = validate(g)
-    if not info.connected:
+    if not g.info.connected:
         raise ValidationError("graph must be connected")
     n_edges = len(g.edges)
     if n_edges > MAX_COUNT_EDGES:
@@ -262,11 +259,11 @@ def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
     ``orient`` succeeding, a cycle and a positive count do not all agree;
     that list is empty when the criterion holds.
 
-    The census computes only the size and the cycle test itself: each
-    graph is enumerated connected, so it has a cycle exactly when E >= V, a
-    test that shares no step with ``orient`` (which verifies its answer
-    before it returns) or with the count.  Those two validate the graph as
-    public entry points, so the census neither validates nor verifies again.
+    The census computes only the cycle test itself: each graph is
+    enumerated connected, so it has a cycle exactly when E >= V, a test that
+    shares no step with ``orient`` (which verifies its answer before it
+    returns) or with the count.  Each graph was validated when it was built,
+    so the census, ``orient`` and the count read its facts, not re-check it.
     """
     if max_trivalent > MAX_CENSUS_TRIVALENT:
         raise PreconditionError(
@@ -276,7 +273,7 @@ def census(max_trivalent: int) -> Tuple[List[Dict[str, int]], List[int]]:
     rows: Dict[int, Dict[str, int]] = {}
     mismatches: List[int] = []
     for g in enumerate_unitrivalent(max_trivalent):
-        size = sum(1 for _, a in g.vertices if a == TRIVALENT)
+        size = g.info.degree
         try:
             orient(g)
             succeeded = True

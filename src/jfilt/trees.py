@@ -8,8 +8,9 @@ rooting at a leaf turns the tree into a nested bracket (reading the two
 non-entry branches at each trivalent vertex in cyclic order), and summing
 ``label (x) rooted bracket`` over all choices of root lands in D_k, the
 kernel of the bracket contraction H (x) L_{k+1} -> L_{k+2}.  That landing is
-checked on every image.  A tree's shape is validated once per call, and a
-labeling (leaf id -> label vector) is bound for one evaluation of it.
+checked on every image.  A graph is validated once, when it is built; a
+tree's shape is compiled once per call, and a labeling (leaf id -> label
+vector) is bound for one evaluation of it.
 ``span_check`` certifies that these images fill D_k at desk scale, using
 only the labelings of one caterpillar shape: the IHX relation writes every
 tree as an integer sum of caterpillars, and AS turns every change of cyclic
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,11 +72,17 @@ def render_half(half: Half) -> str:
 
 @dataclass(frozen=True)
 class ClasperGraph:
+    """Built checked: construction (and so ``replace``) runs ``validate``
+    once and holds what it found as ``info``."""
     n: int
     vertices: Tuple[Tuple[str, int], ...]  # (id, arity)
     edges: Tuple[Tuple[Half, Half], ...]
     cyclic: Tuple[Tuple[str, Tuple[Half, Half, Half]], ...]
     labels: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    info: GraphInfo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "info", validate(self))
 
     def arity_map(self) -> Dict[str, int]:
         return dict(self.vertices)
@@ -204,15 +211,33 @@ def _union_find(vertices: Iterable, edges: Iterable[Tuple]) -> Callable:
     return find
 
 
+def _quote_half(h: Half) -> str:
+    """A half-edge as a refusal quotes it: bare, or cut by ``excerpt``."""
+    text = render_half(h)
+    quoted = excerpt(text)
+    return text if quoted == repr(text) else quoted
+
+
+def _refusal(problems: List[str]) -> ValidationError:
+    """The first problems that fit in 120 characters, then a count of the
+    rest, so that the refusal stays one short line."""
+    shown = 1
+    while shown < len(problems) and len("; ".join(problems[: shown + 1])) <= 120:
+        shown += 1
+    rest = len(problems) - shown
+    return ValidationError("; ".join(problems[:shown]) + ("; and %d more" % rest if rest else ""))
+
+
 def validate(g: ClasperGraph) -> GraphInfo:
-    """Structural checks, then (degree, first Betti number, is_tree)."""
+    """Structural checks, then (degree, first Betti number, is_tree); every
+    ``ClasperGraph`` runs it once, when it is built."""
     problems: List[str] = []
     arity = {}
     for vid, a in g.vertices:
         if vid in arity:
-            problems.append("duplicate vertex id %r" % vid)
+            problems.append("duplicate vertex id %s" % excerpt(vid))
         if a not in (UNIVALENT, TRIVALENT):
-            problems.append("arity mismatch: vertex %r has arity %r" % (vid, a))
+            problems.append("arity mismatch: vertex %s has arity %s" % (excerpt(vid), excerpt(a)))
         arity[vid] = a
 
     seen: Dict[Half, int] = {}
@@ -220,16 +245,16 @@ def validate(g: ClasperGraph) -> GraphInfo:
         for h in (a, b):
             vid, slot = h
             if vid not in arity:
-                problems.append("edge %d uses unknown vertex %r" % (idx, vid))
+                problems.append("edge %d uses unknown vertex %s" % (idx, excerpt(vid)))
             elif not 0 <= slot < arity[vid]:
-                problems.append("arity mismatch: half-edge %s out of range" % render_half(h))
+                problems.append("arity mismatch: half-edge %s out of range" % _quote_half(h))
             if h in seen:
-                problems.append("half-edge %s used twice" % render_half(h))
+                problems.append("half-edge %s used twice" % _quote_half(h))
             seen[h] = idx
     for vid, a in g.vertices:
         for s in range(a):
             if (vid, s) not in seen:
-                problems.append("half-edge %s is unpaired" % render_half((vid, s)))
+                problems.append("half-edge %s is unpaired" % _quote_half((vid, s)))
 
     cyc = g.cyclic_map()
     for vid, a in g.vertices:
@@ -237,25 +262,25 @@ def validate(g: ClasperGraph) -> GraphInfo:
             continue
         order = cyc.get(vid)
         if order is None:
-            problems.append("missing cyclic order at %r" % vid)
+            problems.append("missing cyclic order at %s" % excerpt(vid))
         elif sorted(order) != [(vid, 0), (vid, 1), (vid, 2)]:
-            problems.append("cyclic order at %r is not a permutation of its half-edges" % vid)
+            problems.append("cyclic order at %s is not a permutation of its half-edges" % excerpt(vid))
     for vid in cyc:
         if arity.get(vid) != TRIVALENT:
-            problems.append("cyclic order at %r, which is not a trivalent vertex" % vid)
+            problems.append("cyclic order at %s, which is not a trivalent vertex" % excerpt(vid))
 
     labels = g.label_map()
     for vid, a in g.vertices:
         if a == UNIVALENT and vid not in labels:
-            problems.append("missing label at %r" % vid)
+            problems.append("missing label at %s" % excerpt(vid))
     for vid, vec in g.labels:
         if vid not in arity or arity[vid] != UNIVALENT:
-            problems.append("label on non-leaf vertex %r" % vid)
+            problems.append("label on non-leaf vertex %s" % excerpt(vid))
         elif len(vec) != g.n:
-            problems.append("label at %r has length %d, expected %d" % (vid, len(vec), g.n))
+            problems.append("label at %s has length %d, expected %d" % (excerpt(vid), len(vec), g.n))
 
     if problems:
-        raise ValidationError("; ".join(problems))
+        raise _refusal(problems)
 
     find = _union_find((vid for vid, _ in g.vertices), ((a[0], b[0]) for a, b in g.edges))
     components = {find(vid) for vid, _ in g.vertices}
@@ -272,10 +297,10 @@ def validate(g: ClasperGraph) -> GraphInfo:
 
 
 def _tree_shape(g: ClasperGraph, caller: str) -> Tuple[int, Dict[Half, object]]:
-    """Validate a tree once: its degree and its step table, which maps each
-    half-edge to what lies on its far side, a leaf id or the next two
+    """A tree's degree, read off ``g.info``, and its step table, which maps
+    each half-edge to what lies on its far side, a leaf id or the next two
     half-edges of a trivalent vertex in cyclic order.  It reads no labels."""
-    info = validate(g)
+    info = g.info
     if not info.is_tree:
         raise ValidationError("%s needs a tree" % caller)
     if g.n < 1:
@@ -344,7 +369,7 @@ def rooted_bracket(g: ClasperGraph, root: str) -> LieElement:
 
 def tree_to_dk(g: ClasperGraph) -> TensorElement:
     """Sum of ``label (x) rooted_bracket`` over all leaves.  The tree's shape
-    is validated once per call and its own labels are bound for the one
+    is compiled once per call and its own labels are bound for the one
     evaluation; kernel membership is checked on the image."""
     k, steps = _tree_shape(g, "tree_to_dk")
     return _tree_image(g.n, k, steps, g.label_map())
@@ -359,40 +384,17 @@ def _as_vector(n: int, label) -> Tuple[int, ...]:
 
 
 def tripod(n: int, a, b, c) -> ClasperGraph:
-    """Single trivalent vertex with three labeled leaves (cyclic order a,b,c).
-    Public API, exported from ``jfilt``; nothing inside the package needs it."""
-    return make_graph(
-        n,
-        {"s": TRIVALENT, "l0": UNIVALENT, "l1": UNIVALENT, "l2": UNIVALENT},
-        [("s.0", "l0.0"), ("s.1", "l1.0"), ("s.2", "l2.0")],
-        {"l0": _as_vector(n, a), "l1": _as_vector(n, b), "l2": _as_vector(n, c)},
-    )
+    """Single trivalent vertex ``t0`` with three labeled leaves (cyclic
+    order a,b,c).  Public API, exported from ``jfilt``; nothing inside the
+    package needs it."""
+    return assemble_unitrivalent(n, 1, [], [a, b, c])
 
 
 def h_tree(n: int, first_pair, second_pair) -> ClasperGraph:
-    """Two trivalent vertices joined by an edge; leaves (a,b) at the first
-    vertex and (c,d) at the second.  Rooted at the a-leaf the value is
-    ``[b, [c, d]]``."""
-    a, b = first_pair
-    c, d = second_pair
-    return make_graph(
-        n,
-        {
-            "s": TRIVALENT,
-            "t": TRIVALENT,
-            "l0": UNIVALENT,
-            "l1": UNIVALENT,
-            "l2": UNIVALENT,
-            "l3": UNIVALENT,
-        },
-        [("s.0", "l0.0"), ("s.1", "l1.0"), ("s.2", "t.0"), ("t.1", "l2.0"), ("t.2", "l3.0")],
-        {
-            "l0": _as_vector(n, a),
-            "l1": _as_vector(n, b),
-            "l2": _as_vector(n, c),
-            "l3": _as_vector(n, d),
-        },
-    )
+    """Two trivalent vertices ``t0`` and ``t1`` joined by an edge; leaves
+    (a,b) at the first vertex and (c,d) at the second.  Rooted at the
+    a-leaf the value is ``[b, [c, d]]``."""
+    return assemble_unitrivalent(n, 2, [(0, 1)], [*first_pair, *second_pair])
 
 
 def flip_vertex(g: ClasperGraph, vid: str) -> ClasperGraph:
@@ -400,16 +402,10 @@ def flip_vertex(g: ClasperGraph, vid: str) -> ClasperGraph:
     vertex (reverses the local orientation)."""
     cyc = g.cyclic_map()
     if vid not in cyc:
-        raise ValidationError("no cyclic order at %r" % vid)
+        raise ValidationError("no cyclic order at %s" % excerpt(vid))
     h0, h1, h2 = cyc[vid]
     cyc[vid] = (h0, h2, h1)
-    return ClasperGraph(
-        n=g.n,
-        vertices=g.vertices,
-        edges=g.edges,
-        cyclic=tuple(sorted(cyc.items())),
-        labels=g.labels,
-    )
+    return replace(g, cyclic=tuple(sorted(cyc.items())))
 
 
 def _prufer_decode(seq: Sequence[int], k: int) -> List[Tuple[int, int]]:
@@ -440,7 +436,8 @@ def assemble_unitrivalent(
 ) -> ClasperGraph:
     """Build a graph from k trivalent vertices ``t0..t{k-1}``, an internal
     edge list (loops and multi-edges allowed), and labels for the leaves that
-    fill the remaining slots (ordered by vertex, then slot)."""
+    fill the remaining slots (ordered by vertex, then slot); a flip orders
+    a vertex's slots (0, 2, 1)."""
     slots_used = {i: 0 for i in range(k)}
     edges = []
     for u, v in internal_edges:
@@ -466,11 +463,8 @@ def assemble_unitrivalent(
             leaf_idx += 1
     if leaf_idx != len(leaf_labels):
         raise ValidationError("too many leaf labels")
-    g = make_graph(n, vertices, edges, labels)
-    for i, flip in enumerate(flips):
-        if flip:
-            g = flip_vertex(g, "t%d" % i)
-    return g
+    cyclic = {"t%d" % i: [("t%d" % i, s) for s in (0, 2, 1)] for i, flip in enumerate(flips) if flip}
+    return make_graph(n, vertices, edges, labels, cyclic)
 
 
 def _caterpillar_labelings(n: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -521,8 +515,8 @@ def span_check(n: int, k: int) -> Tuple[int, int]:
     Each image left out is zero or minus one that is kept, so the lattice,
     up to the sign of its rows, is the same.
 
-    The caterpillar is validated once per call, each labeling is bound for
-    one evaluation of it, and the kernel check runs on every image.
+    The caterpillar is built and compiled once per call, each labeling is
+    bound for one evaluation of it, and the kernel check runs on every image.
     """
     if not (1 <= k <= 6 and 1 <= n and n ** (k + 2) <= 4096):
         raise PreconditionError("span_check needs n >= 1, 1 <= k <= 6 and n^(k+2) <= 4096")

@@ -429,6 +429,37 @@ def test_gap_table_csv(capsys):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_gap_table_csv_leaves_an_unknown_closed_form_empty(capsys):
+    # k = 4 has no closed form, so its closed_form and match cells are empty.
+    code, out, _ = invoke(capsys, "--csv", "lagrangian", "gap-table", "--kmax", "4")
+    assert code == 0
+    assert out.splitlines()[0] == "g,k,kernel_rank,braid_rank,gap,closed_form,match"
+    assert out.splitlines()[9:] == [
+        "2,3,0,0,0,0,true", "3,3,6,3,3,3,true", "4,3,36,21,15,15,true", "5,3,126,81,45,45,true",
+        "2,4,3,0,3,,", "3,4,28,6,22,,", "4,4,146,54,92,,", "5,4,540,258,282,,",
+    ]
+
+
+def test_graph_orient_csv_quotes_the_dot_cell(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "--csv", "graph", "orient", write_json(tmp_path, "theta.json", theta_payload()))
+    assert code == 0
+    assert out == "\n".join([
+        'dot,"digraph clasper {',
+        '  ""a"" [shape=point];',
+        '  ""b"" [shape=point];',
+        '  ""b"" -> ""a"" [label=""e0"", taillabel=""0"", headlabel=""0""];',
+        '  ""a"" -> ""b"" [label=""e1"", taillabel=""1"", headlabel=""1""];',
+        '  ""a"" -> ""b"" [label=""e2"", taillabel=""2"", headlabel=""2""];',
+        '}"',
+        'orientation,"{""0"": ""b.0->a.0"", ""1"": ""a.1->b.1"", ""2"": ""a.2->b.2""}"',
+        "",
+    ])
+
+
+def test_witt_csv_prints_bare_number(capsys):
+    assert invoke(capsys, "--csv", "witt", "4", "3") == (0, "20\n", "")
+
+
 def test_gap_table_json(capsys):
     code, out, _ = invoke(capsys, "lagrangian", "gap-table", "--gmax", "3", "--kmax", "1")
     assert code == 0
@@ -896,6 +927,8 @@ def test_only_csv_and_out_go_before_the_command(capsys, tmp_path):
      "bad half-edge 'a.111"),
     (["tree", "image"], dict(theta_payload(), vertices=[{"id": "v" * 5000, "arity": "bivalent"}]),
      "bad graph payload: vertex 'vvv"),
+    (["tree", "image"], {"vertices": [{"id": "v" * 5000, "arity": 2}], "edges": []},
+     "arity mismatch: vertex 'vvv"),
 ])
 def test_refusals_quote_long_input_in_one_short_line(capsys, tmp_path, argv, document, message):
     # These refusals used to copy the whole text to stderr (up to 5,091
@@ -904,6 +937,33 @@ def test_refusals_quote_long_input_in_one_short_line(capsys, tmp_path, argv, doc
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and " characters)" in err
     assert len(err) < 200 and err.count("\n") == 1
+
+
+def test_a_graph_with_many_problems_is_refused_in_one_short_line(capsys, tmp_path):
+    # 2,000 bare leaves: each is unpaired and unlabeled, 4,000 problems that
+    # used to fill a 111,786-byte line.
+    leaves = {"vertices": [{"id": "l%d" % i, "arity": "univalent"} for i in range(2000)], "edges": []}
+    code, out, err = invoke(capsys, "graph", "orient", write_json(tmp_path, "leaves.json", leaves))
+    assert code == 2 and out == ""
+    assert err.startswith("error: half-edge l0.0 is unpaired; half-edge l1.0 is unpaired; ")
+    assert err.endswith("; and 3996 more\n") and len(err) < 200
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # As ``jfilt dk basis 6 2 | head -c 10``: the 492 kB document overflows
+    # the pipe, so a write fails after the reader has gone.
+    src = os.path.dirname(os.path.dirname(jfilt.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jfilt.cli", "dk", "basis", "6", "2"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "basis'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and err == b""
 
 
 def test_excerpt_keeps_short_values_whole():

@@ -3,6 +3,7 @@
 import pytest
 
 import jfilt.orientation
+import jfilt.trees
 from jfilt.errors import NotOrientable, PreconditionError, ValidationError
 from jfilt.orientation import (
     census,
@@ -186,11 +187,10 @@ def test_count_matches_the_brute_force_reference():
     assert len(graphs) == 300
     for g in graphs + [theta(), loop_leaf(), trivalent_cycle(3)]:
         assert count_valid_orientations(g) == brute_force_count(g), g
-    # A strut cannot point into both leaves; the count refuses it as a
-    # component without a trivalent vertex.
-    assert brute_force_count(strut()) == 0
+    # A strut cannot point into both leaves; no graph can hold one, since
+    # building it refuses a component without a trivalent vertex.
     with pytest.raises(ValidationError, match="trivalent vertex"):
-        count_valid_orientations(strut())
+        strut()
 
 
 def test_count_does_not_verify_orientations(monkeypatch):
@@ -218,6 +218,13 @@ def test_census_verifies_each_orientable_graph_once(monkeypatch):
         (3, 25, 3),
     ]
     assert len(calls) == sum(r["orientable"] for r in rows) == 31
+
+
+def test_census_checks_each_graph_once_when_it_is_built(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jfilt.trees, "validate", lambda g: calls.append(g) or validate(g))
+    rows, _ = census(3)
+    assert len(calls) == sum(r["orientable"] + r["not_orientable"] for r in rows) == 36
 
 
 # ---------------------------------------------------------------------------

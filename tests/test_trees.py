@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -26,6 +27,7 @@ from jfilt.trees import (
     span_check,
     tree_to_dk,
     tripod,
+    _as_vector,
     _caterpillar_images,
     _caterpillar_labelings,
     _prufer_decode,
@@ -111,22 +113,22 @@ def test_validate_error_messages():
 
 
 _TRIPOD = tripod(2, (1, 0), (0, 1), (1, 1))
-_S = (("s", 0), ("s", 1), ("s", 2))
+_S = (("t0", 0), ("t0", 1), ("t0", 2))
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"vertices": _TRIPOD.vertices + (("l0", 1),)}, "duplicate vertex id 'l0'"),
-    ({"vertices": (("s", 3), ("l0", 1), ("l1", 1), ("l2", 2))}, "vertex 'l2' has arity 2"),
+    ({"vertices": (("t0", 3), ("l0", 1), ("l1", 1), ("l2", 2))}, "vertex 'l2' has arity 2"),
     ({"edges": _TRIPOD.edges + ((("l0", 0), ("w", 0)),)}, "edge 3 uses unknown vertex 'w'"),
     ({"edges": ((_S[0], ("l0", 0)), (_S[1], ("l0", 0)), (_S[2], ("l2", 0)))},
      "half-edge l0.0 used twice"),
-    ({"cyclic": (("s", (_S[0], _S[1], _S[1])),)},
-     "cyclic order at 's' is not a permutation of its half-edges"),
+    ({"cyclic": (("t0", (_S[0], _S[1], _S[1])),)},
+     "cyclic order at 't0' is not a permutation of its half-edges"),
     ({"cyclic": _TRIPOD.cyclic + (("l0", (("l0", 0), ("l0", 1), ("l0", 2))),)},
      "cyclic order at 'l0', which is not a trivalent vertex"),
     ({"cyclic": _TRIPOD.cyclic + (("t", (_S[0], _S[2], _S[1])),)},
      "cyclic order at 't', which is not a trivalent vertex"),
-    ({"labels": _TRIPOD.labels + (("s", (1, 0)),)}, "label on non-leaf vertex 's'"),
+    ({"labels": _TRIPOD.labels + (("t0", (1, 0)),)}, "label on non-leaf vertex 't0'"),
 ])
 def test_validate_refuses_malformed_graphs(fields, message):
     with pytest.raises(ValidationError) as info:
@@ -200,12 +202,79 @@ def test_label_multilinearity():
 
 def test_antisymmetry_flip():
     g = h_tree(3, (0, 1), (2, 1))
-    for vid in ("s", "t"):
+    for vid in ("t0", "t1"):
         flipped = flip_vertex(g, vid)
         assert rooted_bracket(flipped, "l0") == -rooted_bracket(g, "l0")
         assert tree_to_dk(flipped) == -tree_to_dk(g)
-    double = flip_vertex(flip_vertex(g, "s"), "t")
+    double = flip_vertex(flip_vertex(g, "t0"), "t1")
     assert tree_to_dk(double) == tree_to_dk(g)
+
+
+def hand_built_tripod(n, a, b, c):
+    """The tripod as it was built by hand, with trivalent vertex ``s``."""
+    return make_graph(
+        n,
+        {"s": 3, "l0": 1, "l1": 1, "l2": 1},
+        [("s.0", "l0.0"), ("s.1", "l1.0"), ("s.2", "l2.0")],
+        {"l0": _as_vector(n, a), "l1": _as_vector(n, b), "l2": _as_vector(n, c)},
+    )
+
+
+def hand_built_h_tree(n, first_pair, second_pair):
+    """The H-tree as it was built by hand, with trivalent vertices ``s``, ``t``."""
+    a, b = first_pair
+    c, d = second_pair
+    return make_graph(
+        n,
+        {"s": 3, "t": 3, "l0": 1, "l1": 1, "l2": 1, "l3": 1},
+        [("s.0", "l0.0"), ("s.1", "l1.0"), ("s.2", "t.0"), ("t.1", "l2.0"), ("t.2", "l3.0")],
+        {"l0": _as_vector(n, a), "l1": _as_vector(n, b), "l2": _as_vector(n, c), "l3": _as_vector(n, d)},
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assembled_tripod_and_h_tree_evaluate_as_the_hand_built_ones(seed):
+    # The assembler names the trivalent vertices t0, t1 and orders their
+    # slots differently, but every cyclic order is the same.
+    rng = random.Random(seed)
+    n = 3 + seed % 2
+    a, b, c, d = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+    for built, reference in [
+        (tripod(n, a, b, c), hand_built_tripod(n, a, b, c)),
+        (h_tree(n, (a, b), (c, d)), hand_built_h_tree(n, (a, b), (c, d))),
+    ]:
+        assert not tree_to_dk(reference).is_zero
+        assert tree_to_dk(built) == tree_to_dk(reference)
+        assert rooted_bracket(built, "l0") == rooted_bracket(reference, "l0")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: assemble_unitrivalent(1, 1, [(0, 0), (0, 0)], []), "vertex t0 has more than three half-edges"),
+    (lambda: assemble_unitrivalent(1, 2, [(0, 1)], [0, 0, 0]), "not enough leaf labels"),
+    (lambda: assemble_unitrivalent(1, 1, [], [0, 0, 0, 0]), "too many leaf labels"),
+    (lambda: flip_vertex(tripod(1, 0, 0, 0), "l0"), "no cyclic order at 'l0'"),
+    (lambda: tree_to_dk(tripod(0, (), (), ())), "tree has no label rank"),
+])
+def test_builders_and_evaluators_refuse_bad_requests(build, message):
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        build()
+
+
+def test_validate_quotes_a_long_half_edge_in_one_short_line():
+    with pytest.raises(ValidationError) as info:
+        make_graph(1, {"t" * 5000: 3}, [], {})
+    assert str(info.value) == "half-edge '%s... (5002 characters) is unpaired; and 2 more" % ("t" * 39)
+
+
+def test_a_graph_is_checked_once_when_built(monkeypatch):
+    calls = []
+    monkeypatch.setattr("jfilt.trees.validate", lambda g: calls.append(g) or validate(g))
+    g = random_labeled_tree(random.Random(2), 3, 3)
+    assert calls == [g]
+    tree_to_dk(g)
+    rooted_bracket(g, "l0")
+    assert calls == [g] and g.info == validate(g)
+    assert flip_vertex(g, "t0").info == g.info and len(calls) == 2
 
 
 def test_ihx_exhaustive_degree_two():
