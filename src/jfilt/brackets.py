@@ -12,8 +12,14 @@ routes:
 * a closed-form count ``n * W(n, k+1) - W(n, k+2)`` using the graded
   dimensions ``W`` of the free Lie ring, valid because the contraction is
   surjective (left-normed brackets are in the image); and
-* explicit integer linear algebra on the contraction matrix (Smith normal
-  form), which also yields a saturated integer basis of the kernel.
+* explicit integer linear algebra (Smith elimination).  The contraction
+  keeps letter content and commutes with permuting the letters, so its
+  matrix is block-diagonal, one block per content of size ``k+2``, and
+  contents with the same partition give isomorphic blocks.  The rank route
+  eliminates one block per partition, on the letters ``0..l-1``, and
+  weights its nullity by the number of contents of that shape.  The basis
+  route eliminates the whole matrix in the generator-major order, which
+  fixes the order of its saturated integer basis of the kernel.
 
 An element stores only its nonzero coefficients, keyed by the pair
 ``(a, u)`` of a generator and a Lyndon word.  The generator-major index
@@ -25,11 +31,12 @@ columns of the contraction matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Dict, List, Sequence, Tuple
+from math import comb, factorial, perm
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError, ValidationError, payload_fields
 from .lie import (
+    Content,
     LieElement,
     Monomial,
     SparseElement,
@@ -39,17 +46,23 @@ from .lie import (
     hall_basis,
     lie_map,
     lyndon_bracket,
+    lyndon_words_with_content,
+    witt_content_dimension,
     witt_dimension,
 )
 from .snf import Matrix, Row, eliminate, is_identity_matrix
 
-# Cells of the largest contraction matrix built: (6, 3) has 2.9 million and
-# its kernel basis takes about 0.02 s, 4 ms of it in the elimination
-# (`jfilt dk basis 6 3`, which prints 7 MB of it, about 0.45 s on a 2-vCPU
-# Xeon), (10, 2) has 8.2 million.  The matrix route keeps only nonzero
-# entries, so the bound guards its time and the size of its output (a basis
-# of about rank x columns entries), not a dense allocation; it is checked
-# before anything is built.
+# Cells of the largest matrix eliminated: the whole contraction matrix for
+# `bracket_matrix` and `dk_basis`, each content block for
+# `dk_rank(method="matrix")`.  (6, 3) has 2.9 million and its kernel basis
+# takes about 0.02 s, 4 ms of it in the elimination (`jfilt dk basis 6 3`,
+# which prints 7 MB of it, about 0.45 s on a 2-vCPU Xeon); (10, 2) has 8.2
+# million, and its largest block, content 1^4, 6 x 8 = 48.  The largest
+# block at k = 5, content 1^7, has 720 x 840 = 604,800; at k = 6 the block
+# 1^8 has 29 million.  Elimination keeps only nonzero entries, so the bound
+# guards time and the size of a basis (about rank x columns entries), not a
+# dense allocation; it is checked from the Witt counts before anything is
+# built.
 MAX_MATRIX_CELLS = 4 * 10**6
 
 
@@ -124,28 +137,32 @@ def bracket_map(t: TensorElement) -> LieElement:
     return LieElement(t.n, t.level + 2, _contract(t.terms))
 
 
-def _bracket_rows(n: int, k: int) -> Tuple[List[Row], int]:
+def _fill_rows(index: Dict[Monomial, int], keys: Sequence[Tuple[int, Monomial]]) -> List[Row]:
+    """The contraction as sparse rows: column ``j`` holds ``[e_a, P_u]`` for
+    ``(a, u) = keys[j]``, and its coefficient of ``P_w`` goes to row
+    ``index[w]``."""
+    out: List[Row] = [{} for _ in range(len(index))]
+    for col, (a, u) in enumerate(keys):
+        for w, c in lyndon_bracket((a,), u):
+            out[index[w]][col] = c
+    return out
+
+
+def _bracket_rows(n: int, k: int) -> Tuple[List[Row], List[Tuple[int, Monomial]]]:
     """The contraction matrix as sparse rows (column index to nonzero
-    entry), and its column count.  Raises ``PreconditionError`` past
-    ``MAX_MATRIX_CELLS`` cells, before anything is built."""
+    entry), and the ``(a, u)`` key of each column in the generator-major
+    order.  Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells,
+    before anything is built."""
     if k < 1:
         raise ValidationError("level must be at least 1")
-    rows = witt_dimension(n, k + 2)
-    cells = n * witt_dimension(n, k + 1) * rows
+    cells = n * witt_dimension(n, k + 1) * witt_dimension(n, k + 2)
     if cells > MAX_MATRIX_CELLS:
         raise PreconditionError(
             "contraction matrix at (n, k) = (%d, %d) has %d cells, over the bound of %d"
             % (n, k, cells, MAX_MATRIX_CELLS)
         )
-    src = hall_basis(n, k + 1).words
-    index = _basis_index(n, k + 2)
-    out: List[Row] = [{} for _ in range(rows)]
-    for a in range(n):
-        for j, u in enumerate(src):
-            col = a * len(src) + j
-            for w, c in lyndon_bracket((a,), u):
-                out[index[w]][col] = c
-    return out, n * len(src)
+    keys = [(a, u) for a in range(n) for u in hall_basis(n, k + 1).words]
+    return _fill_rows(_basis_index(n, k + 2), keys), keys
 
 
 def bracket_matrix(n: int, k: int) -> Matrix:
@@ -155,42 +172,98 @@ def bracket_matrix(n: int, k: int) -> Matrix:
     generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1`` basis.
     Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells.
     """
-    rows, cols = _bracket_rows(n, k)
-    matrix = [[0] * cols for _ in rows]
+    rows, keys = _bracket_rows(n, k)
+    matrix = [[0] * len(keys) for _ in rows]
     for out, row in zip(matrix, rows):
         for c, x in row.items():
             out[c] = x
     return matrix
 
 
+def _partitions(total: int, parts: int, largest: int) -> Iterator[Tuple[int, ...]]:
+    """The partitions of ``total`` into at most ``parts`` parts of at most
+    ``largest`` each, as non-increasing tuples."""
+    if total == 0:
+        yield ()
+    elif parts:
+        for first in range(min(total, largest), 0, -1):
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def _content_blocks(n: int, k: int) -> List[Tuple[Content, int]]:
+    """Each partition ``shape`` of ``k + 2`` into at most ``n`` parts, as the
+    content of its block's rows on the letters ``0..len(shape)-1``, with the
+    number of contents over ``n`` letters that permute to it.  Checked from
+    the Witt counts alone: every block within ``MAX_MATRIX_CELLS`` cells
+    (else ``PreconditionError``), and the weighted row and column counts
+    equal to the whole matrix's (else ``InvariantError``)."""
+    blocks = []
+    rows_total = cols_total = 0
+    for shape in _partitions(k + 2, n, k + 2):
+        rows = witt_content_dimension(shape)
+        cols = sum(witt_content_dimension(_less(shape, a)) for a in range(len(shape)))
+        if rows * cols > MAX_MATRIX_CELLS:
+            raise PreconditionError(
+                "contraction block of content %r at (n, k) = (%d, %d) has %d cells, "
+                "over the bound of %d" % (shape, n, k, rows * cols, MAX_MATRIX_CELLS)
+            )
+        weight = perm(n, len(shape))
+        for part in set(shape):
+            weight //= factorial(shape.count(part))
+        rows_total += weight * rows
+        cols_total += weight * cols
+        blocks.append((shape, weight))
+    if (rows_total, cols_total) != (witt_dimension(n, k + 2), n * witt_dimension(n, k + 1)):
+        raise InvariantError("content blocks at (n, k) = (%d, %d) do not tile the matrix" % (n, k))
+    return blocks
+
+
+def _less(content: Content, a: int) -> Content:
+    """``content`` with one fewer letter ``a``."""
+    return content[:a] + (content[a] - 1,) + content[a + 1:]
+
+
 def dk_rank(n: int, k: int, method: str = "formula") -> int:
     """Rank of the contraction kernel at level ``k`` over ``n`` generators.
 
-    ``method="formula"`` uses the closed form ``n*W(n,k+1) - W(n,k+2)``;
-    ``method="matrix"`` recomputes it from the rank of the explicit matrix.
-    The two agree because the contraction is onto (checked in the tests and
-    the acceptance gate, never assumed by the matrix route).
+    ``method="formula"`` uses the closed form ``n*W(n,k+1) - W(n,k+2)``.
+    ``method="matrix"`` recomputes it by elimination, one block per
+    partition of ``k+2`` into at most ``n`` parts: the contraction keeps
+    letter content, so its matrix is block-diagonal by content, and
+    permuting letters carries a block onto every block of the same shape.
+    Each shape's block is built on the letters ``0..l-1`` of its ``l``
+    parts, and its nullity counts once for each content of that shape.  The
+    cell bound applies to each block.  The two methods agree because the
+    contraction is onto (checked in the tests and the acceptance gate, never
+    assumed by the matrix route).
     """
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 and k >= 1")
     if method == "formula":
         return n * witt_dimension(n, k + 1) - witt_dimension(n, k + 2)
-    if method == "matrix":
-        rows, cols = _bracket_rows(n, k)
-        diagonal = eliminate(rows, cols)[0]
-        return cols - sum(1 for d in diagonal if d)
-    raise ValidationError("unknown method %r" % (method,))
+    if method != "matrix":
+        raise ValidationError("unknown method %r" % (method,))
+    nullity = 0
+    for shape, weight in _content_blocks(n, k):
+        letters = len(shape)
+        words = lyndon_words_with_content(letters, k + 2).get(shape, ())
+        below = lyndon_words_with_content(letters, k + 1)
+        keys = [(a, u) for a in range(letters) for u in below.get(_less(shape, a), ())]
+        rows = _fill_rows({w: i for i, w in enumerate(words)}, keys)
+        diagonal = eliminate(rows, len(keys))[0]
+        nullity += weight * (len(keys) - sum(1 for d in diagonal if d))
+    return nullity
 
 
 def dk_basis(n: int, k: int) -> List[TensorElement]:
     """Saturated integer basis of the contraction kernel at level ``k``:
     the columns of the Smith form's ``V`` at zero diagonal places, each
     checked to contract to zero."""
-    rows, cols = _bracket_rows(n, k)
+    rows, keys = _bracket_rows(n, k)
+    cols = len(keys)
     diagonal, _, vt = eliminate(rows, cols, want_v=True)
     diagonal += [0] * (cols - len(diagonal))
-    # The (a, u) key of each column, in the generator-major column order.
-    keys = [(a, u) for a in range(n) for u in hall_basis(n, k + 1).words]
     out = []
     for d, col in zip(diagonal, vt):
         if d == 0:

@@ -1,9 +1,10 @@
 """Command-line surface: every module behind one batch-oriented driver.
 
 Each action (``jfilt aut invert FILE``) declares exactly the positionals and
-flags its handler reads; ``--csv`` and ``--out`` may also go before the
-command.  A handler returns its payload, and ``run`` parses, dispatches and
-renders in one place.
+flags its handler reads, and refuses any other in its own name; ``--csv``
+and ``--out`` may also go before the command, and any other flag found
+there is named in the refusal.  A handler returns its payload, and ``run``
+parses, dispatches and renders in one place.
 
 Exit codes: 0 on success, 1 when a check the command runs fails (``selftest``,
 ``lagrangian gap-table``, ``graph census``), 2 on validation problems
@@ -267,6 +268,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError("%s: %s" % (self.prog, message))
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Each parser refuses what it does not read, so that the refusal
+        # names the action (``jfilt aut invert``), not ``jfilt``.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jfilt", description="exact filtration and tree-kernel calculator")
@@ -344,12 +353,41 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _flag_before_command(argv: List[str]) -> Optional[str]:
+    """The first flag before the command other than ``--csv``, ``--out``
+    and ``--help`` (or a prefix argparse would take for one), if any."""
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-") or token in ("-", "--"):
+            return None
+        name = token.split("=", 1)[0]
+        known = [f for f in ("--csv", "--out", "--help") if len(name) > 2 and f.startswith(name)]
+        if name != "-h" and len(known) != 1:
+            return name
+        if known == ["--out"] and "=" not in token:
+            next(tokens, None)
+    return None
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    try:
+        return _PARSER.parse_args(argv)
+    except ValidationError:
+        flag = _flag_before_command(argv)
+        if flag is None:
+            raise
+    raise ValidationError(
+        "jfilt: flag %s before the command: flags other than --csv and --out go after the action"
+        % flag
+    )
+
+
 def run(argv: List[str]) -> int:
     """Parse ``argv``, run its action's handler and write what it returns:
     the payload, or for a command that runs a check, the payload and a
     complaint (None when the check passed)."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         payload = args.handler(args)
         payload, complaint = payload if isinstance(payload, tuple) else (payload, None)
         text = _render(payload, args.csv)

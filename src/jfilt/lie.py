@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import factorial, gcd
 from typing import Dict, List, Tuple
 
 from .errors import InvariantError, PreconditionError, ValidationError
@@ -187,6 +188,50 @@ def hall_basis(n: int, degree: int) -> HallBasis:
 @lru_cache(maxsize=None)
 def _basis_index(n: int, degree: int) -> Dict[Monomial, int]:
     return {w: i for i, w in enumerate(hall_basis(n, degree).words)}
+
+
+Content = Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def witt_content_dimension(content: Content) -> int:
+    """Number of Lyndon words with letter content ``content`` (letter ``i``
+    used ``content[i]`` times), by the multigraded Witt formula
+    (1/d) * sum over e | gcd(content) of mobius(e) * (d/e)! / prod (c/e)!,
+    where d is the length (Reutenauer, *Free Lie Algebras*, 1993, ch. 7)."""
+    if not content or min(content) < 0 or not sum(content):
+        raise ValidationError("a content needs nonnegative multiplicities of positive sum")
+    d = sum(content)
+    common = gcd(*content)
+    total = 0
+    for e in range(1, common + 1):
+        if common % e == 0:
+            ways = factorial(d // e)
+            for c in content:
+                ways //= factorial(c // e)
+            total += _mobius(e) * ways
+    if total % d != 0:
+        raise InvariantError("multigraded Witt sum %d is not divisible by d = %d" % (total, d))
+    return total // d
+
+
+@lru_cache(maxsize=None)
+def lyndon_words_with_content(n: int, degree: int) -> Dict[Content, Tuple[Monomial, ...]]:
+    """The Lyndon words of one degree over ``n`` letters grouped by content
+    (the tuple of ``n`` letter multiplicities), each group in the basis
+    order.  Each group's size is checked against the multigraded Witt
+    formula, as ``hall_basis`` checks their total; a content with no Lyndon
+    word has no group."""
+    groups: Dict[Content, List[Monomial]] = {}
+    for w in hall_basis(n, degree).words:
+        content = [0] * n
+        for letter in w:
+            content[letter] += 1
+        groups.setdefault(tuple(content), []).append(w)
+    for content, words in groups.items():
+        if len(words) != witt_content_dimension(content):
+            raise InvariantError("Lyndon words of content %r differ from their Witt count" % (content,))
+    return {content: tuple(words) for content, words in groups.items()}
 
 
 class SparseElement:

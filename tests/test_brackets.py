@@ -1,6 +1,7 @@
 """Tests for the bracket contraction, its kernel, and tensor transport."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -29,8 +30,10 @@ from jfilt.lie import (
     hall_basis,
     lie_bracket,
     lie_map,
+    lyndon_words,
     tensor_bracket,
     tensor_to_lyndon,
+    witt_content_dimension,
     witt_dimension,
 )
 from jfilt.snf import integer_rank
@@ -133,15 +136,58 @@ def test_bracket_matrix_refuses_past_the_cell_bound_before_allocating():
     # basis is asked for before the refusal.
     assert 10 * witt_dimension(10, 3) * witt_dimension(10, 4) > MAX_MATRIX_CELLS
     before = hall_basis.cache_info()
-    for call in (lambda: bracket_matrix(10, 2), lambda: dk_rank(10, 2, method="matrix")):
-        with pytest.raises(PreconditionError, match="over the bound"):
-            call()
+    with pytest.raises(PreconditionError, match="over the bound"):
+        bracket_matrix(10, 2)
     after = hall_basis.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+    # The matrix rank route bounds each content block, not the whole matrix.
+    assert dk_rank(10, 2, method="matrix") == 825
     assert dk_rank(10, 2) == 10 * 330 - 2475
     # dk basis 6 3 and criterion 1's largest matrix, (8, 1), stay inside.
     for n, k in ((6, 3), (8, 1)):
         assert n * witt_dimension(n, k + 1) * witt_dimension(n, k + 2) <= MAX_MATRIX_CELLS
+
+
+def _block_cells(n, k):
+    # Cells of the largest content block: a partition of k + 2 into at most
+    # n parts, by the multigraded Witt counts.
+    def partitions(total, parts, largest):
+        if total == 0:
+            yield ()
+        elif parts:
+            for first in range(min(total, largest), 0, -1):
+                for rest in partitions(total - first, parts - 1, first):
+                    yield (first,) + rest
+
+    def cells(shape):
+        less = [shape[:a] + (shape[a] - 1,) + shape[a + 1:] for a in range(len(shape))]
+        return witt_content_dimension(shape) * sum(map(witt_content_dimension, less))
+
+    return max(cells(shape) for shape in partitions(k + 2, n, k + 2))
+
+
+def test_matrix_route_equals_the_formula_block_by_block():
+    for n in range(1, 11):
+        for k in range(1, 6):
+            assert _block_cells(n, k) <= MAX_MATRIX_CELLS, (n, k)
+            assert dk_rank(n, k, "matrix") == dk_rank(n, k), (n, k)
+    # Past the whole-matrix bound, each in bounded time.
+    for n, k, rank in ((10, 2, 825), (8, 3, 1512), (4, 5, 340)):
+        assert n * witt_dimension(n, k + 1) * witt_dimension(n, k + 2) > MAX_MATRIX_CELLS
+        start = time.perf_counter()
+        assert dk_rank(n, k, "matrix") == dk_rank(n, k) == rank
+        assert time.perf_counter() - start < 1.0
+
+
+def test_matrix_route_refuses_a_block_past_the_bound_before_building_words():
+    # (8, 6): the block of content 1^8 alone has 5040 x 5760 cells.
+    assert _block_cells(8, 6) > MAX_MATRIX_CELLS
+    before = lyndon_words.cache_info()
+    with pytest.raises(PreconditionError, match="over the bound"):
+        dk_rank(8, 6, "matrix")
+    after = lyndon_words.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert dk_rank(8, 6) == 8 * witt_dimension(8, 7) - witt_dimension(8, 8)
 
 
 def test_a1_dimension_pairs():

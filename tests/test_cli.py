@@ -914,6 +914,37 @@ def test_only_csv_and_out_go_before_the_command(capsys, tmp_path):
     assert "--level" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--level", "3", "aut", "invert", "F.json"],
+     "jfilt: flag --level before the command: flags other than --csv and --out go after the action"),
+    (["--out", "x.json", "--k=1", "aut", "johnson", "F.json"], "jfilt: flag --k before the command"),
+    (["--bogus", "witt", "4", "3"], "jfilt: flag --bogus before the command"),
+])
+def test_a_flag_before_the_command_is_named(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["aut", "invert", "F.json", "--k", "2"], "jfilt aut invert: unrecognized arguments: --k 2"),
+    (["witt", "4", "3", "5"], "jfilt witt: unrecognized arguments: 5"),
+    (["selftest", "--csv"], "jfilt selftest: unrecognized arguments: --csv"),
+])
+def test_a_flag_the_action_never_reads_names_the_action(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_top_level_flags_keep_their_prefixes_and_values(capsys):
+    # ``--cs`` is argparse's prefix of ``--csv``, and the value of ``--out``
+    # may look like a command: neither is taken for a misplaced flag.
+    code, _, err = invoke(capsys, "--cs", "witt", "x", "3")
+    assert code == 2 and err == "error: jfilt witt: argument n: invalid int value: 'x'\n"
+    code, _, err = invoke(capsys, "--out", "witt", "witt", "4", "x")
+    assert code == 2 and err == "error: jfilt witt: argument k: invalid int value: 'x'\n"
+
+
 @pytest.mark.parametrize("argv, document, message", [
     (["aut", "degree"], {"g": 1, "q": 3, "images": {"x1": "x" + "1" * 5000, "y1": "y1"}},
      "generator 'x111"),

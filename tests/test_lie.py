@@ -24,9 +24,11 @@ from jfilt.lie import (
     lyndon_bracket,
     lyndon_coords,
     lyndon_words,
+    lyndon_words_with_content,
     standard_factorization,
     tensor_bracket,
     tensor_to_lyndon,
+    witt_content_dimension,
     witt_dimension,
 )
 from jfilt.words import Alphabet, GroupWord, commutator, generator
@@ -57,6 +59,52 @@ def test_lyndon_words_sorted_and_lyndon():
         assert list(ws) == sorted(ws)
         for w in ws:
             assert all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+def _contents(n, d):
+    # Every tuple of n nonnegative multiplicities summing to d.
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in _contents(n - 1, d - first):
+            yield (first,) + rest
+
+
+def test_witt_content_dimension_frozen_values():
+    # 001; 0011 (0101 is periodic); 012 and 021; no Lyndon word a^3.
+    assert witt_content_dimension((2, 1)) == 1
+    assert witt_content_dimension((2, 2)) == 1
+    assert witt_content_dimension((1, 1, 1)) == 2
+    assert witt_content_dimension((3,)) == 0
+    assert witt_content_dimension((1, 0)) == 1
+    for bad in ((), (0, 0), (-1, 2)):
+        with pytest.raises(ValidationError):
+            witt_content_dimension(bad)
+
+
+def test_lyndon_words_with_content_match_the_multigraded_witt_formula():
+    # Two independent routes, content by content: the Duval generator
+    # grouped by content, and the multigraded divisor sum.
+    for n in range(1, 5):
+        for d in range(1, 8):
+            groups = lyndon_words_with_content(n, d)
+            for content in _contents(n, d):
+                assert len(groups.get(content, ())) == witt_content_dimension(content), (n, content)
+            assert sorted(w for words in groups.values() for w in words) == list(lyndon_words(n, d))
+            for content, words in groups.items():
+                assert list(words) == sorted(words)
+                assert all(tuple(map(w.count, range(n))) == content for w in words)
+
+
+def test_lyndon_words_with_content_checks_each_count(monkeypatch):
+    monkeypatch.setattr(jfilt.lie, "witt_content_dimension", lambda content: 0)
+    lyndon_words_with_content.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="content"):
+            lyndon_words_with_content(2, 3)
+    finally:
+        lyndon_words_with_content.cache_clear()
 
 
 def test_standard_factorization_examples():
