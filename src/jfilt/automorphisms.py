@@ -630,7 +630,7 @@ def full_twist_tuple(g: int, q: int, power: int, kind: str = Y_ONLY) -> Longitud
 
 @lru_cache(maxsize=None)
 def _kernel_basis(g: int, k: int) -> Tuple[TensorElement, ...]:
-    # One elimination per (g, k) serves every lift; ``dk_basis`` stays uncached.
+    # One ``dk_basis`` call per (g, k) serves every lift; ``dk_basis`` stays uncached.
     return tuple(dk_basis(g, k))
 
 

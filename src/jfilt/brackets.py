@@ -13,24 +13,26 @@ routes:
   dimensions ``W`` of the free Lie ring, valid because the contraction is
   surjective (left-normed brackets are in the image); and
 * explicit integer linear algebra (Smith elimination).  The contraction
-  keeps letter content and commutes with permuting the letters, so its
-  matrix is block-diagonal, one block per content of size ``k+2``, and
-  contents with the same partition give isomorphic blocks.  The rank route
-  eliminates one block per partition, on the letters ``0..l-1``, and
-  weights its nullity by the number of contents of that shape.  The basis
-  route eliminates the whole matrix in the generator-major order, which
-  fixes the order of its saturated integer basis of the kernel.
+  keeps letter content, and an order-preserving map of letters sends Lyndon
+  words to Lyndon words, so its matrix is block-diagonal by content, and the
+  block of a content on ``l`` letters is that of its composition on the
+  letters ``0..l-1``; ``_block_rows`` builds every block eliminated.  The
+  rank route weights each partition's nullity by the number of contents of
+  that shape.  The basis route eliminates the blocks of all compositions
+  into ``l`` parts at once, for each ``l``, and pushes each kernel column of
+  ``V`` along every order-preserving map of ``0..l-1`` into the generators.
 
 An element stores only its nonzero coefficients, keyed by the pair
 ``(a, u)`` of a generator and a Lyndon word.  The generator-major index
 ``a * W(n, k+1) + (index of u)`` over the ordered Lyndon basis is only the
 layout of the dense view ``TensorElement.coords``, of JSON, and of the
-columns of the contraction matrix.
+columns of ``bracket_matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial, perm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -52,17 +54,14 @@ from .lie import (
 )
 from .snf import Matrix, Row, eliminate, is_identity_matrix
 
-# Cells of the largest matrix eliminated: the whole contraction matrix for
-# `bracket_matrix` and `dk_basis`, each content block for
-# `dk_rank(method="matrix")`.  (6, 3) has 2.9 million and its kernel basis
-# takes about 0.02 s, 4 ms of it in the elimination (`jfilt dk basis 6 3`,
-# which prints 7 MB of it, about 0.45 s on a 2-vCPU Xeon); (10, 2) has 8.2
-# million, and its largest block, content 1^4, 6 x 8 = 48.  The largest
-# block at k = 5, content 1^7, has 720 x 840 = 604,800; at k = 6 the block
-# 1^8 has 29 million.  Elimination keeps only nonzero entries, so the bound
-# guards time and the size of a basis (about rank x columns entries), not a
-# dense allocation; it is checked from the Witt counts before anything is
-# built.
+# Cells of each block eliminated and of each dense array returned, checked
+# from the Witt counts before anything is built.  Blocks, per partition of
+# k+2 (`_content_blocks`): content 1^7 at k = 5 has 720 x 840 = 604,800, and
+# 1^8 at k = 6 has 29 million, so (8, 6) is refused.  Dense arrays:
+# `bracket_matrix`, and the `coords` of a `dk_basis`, dk_rank(n, k) x
+# n W(n, k+1): 336 x 1,890 at (6, 3) (7 MB from `jfilt dk basis 6 3`) and
+# 2.7 million at (10, 2); (11, 2) and (8, 3) are refused.  Elimination keeps
+# only nonzero entries, so the bound guards time and output size.
 MAX_MATRIX_CELLS = 4 * 10**6
 
 
@@ -137,46 +136,30 @@ def bracket_map(t: TensorElement) -> LieElement:
     return LieElement(t.n, t.level + 2, _contract(t.terms))
 
 
-def _fill_rows(index: Dict[Monomial, int], keys: Sequence[Tuple[int, Monomial]]) -> List[Row]:
-    """The contraction as sparse rows: column ``j`` holds ``[e_a, P_u]`` for
-    ``(a, u) = keys[j]``, and its coefficient of ``P_w`` goes to row
-    ``index[w]``."""
-    out: List[Row] = [{} for _ in range(len(index))]
-    for col, (a, u) in enumerate(keys):
-        for w, c in lyndon_bracket((a,), u):
-            out[index[w]][col] = c
-    return out
-
-
-def _bracket_rows(n: int, k: int) -> Tuple[List[Row], List[Tuple[int, Monomial]]]:
-    """The contraction matrix as sparse rows (column index to nonzero
-    entry), and the ``(a, u)`` key of each column in the generator-major
-    order.  Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells,
-    before anything is built."""
-    if k < 1:
-        raise ValidationError("level must be at least 1")
-    cells = n * witt_dimension(n, k + 1) * witt_dimension(n, k + 2)
-    if cells > MAX_MATRIX_CELLS:
+def _check_cells(what: str, n: int, k: int, rows: int, cols: int) -> None:
+    """Refuse an array of ``rows x cols`` cells past ``MAX_MATRIX_CELLS``."""
+    if rows * cols > MAX_MATRIX_CELLS:
         raise PreconditionError(
-            "contraction matrix at (n, k) = (%d, %d) has %d cells, over the bound of %d"
-            % (n, k, cells, MAX_MATRIX_CELLS)
+            "%s at (n, k) = (%d, %d) has %d cells, over the bound of %d"
+            % (what, n, k, rows * cols, MAX_MATRIX_CELLS)
         )
-    keys = [(a, u) for a in range(n) for u in hall_basis(n, k + 1).words]
-    return _fill_rows(_basis_index(n, k + 2), keys), keys
 
 
 def bracket_matrix(n: int, k: int) -> Matrix:
-    """Matrix of the contraction in the ordered bases.
-
-    Rows are indexed by the degree ``k+2`` Lyndon basis, columns by the
-    generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1`` basis.
-    Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells.
-    """
-    rows, keys = _bracket_rows(n, k)
-    matrix = [[0] * len(keys) for _ in rows]
-    for out, row in zip(matrix, rows):
-        for c, x in row.items():
-            out[c] = x
+    """Dense matrix of the contraction, a view that nothing in the package
+    eliminates: rows are indexed by the degree ``k+2`` Lyndon basis, columns
+    by the generator-major pairs ``(a, u)`` with ``u`` in the degree ``k+1``
+    basis.  Raises ``PreconditionError`` past ``MAX_MATRIX_CELLS`` cells."""
+    if k < 1:
+        raise ValidationError("level must be at least 1")
+    cols = n * witt_dimension(n, k + 1)
+    _check_cells("contraction matrix", n, k, witt_dimension(n, k + 2), cols)
+    index = _basis_index(n, k + 2)
+    matrix = [[0] * cols for _ in index]
+    keys = ((a, u) for a in range(n) for u in hall_basis(n, k + 1).words)
+    for col, (a, u) in enumerate(keys):
+        for w, c in lyndon_bracket((a,), u):
+            matrix[index[w]][col] = c
     return matrix
 
 
@@ -203,11 +186,7 @@ def _content_blocks(n: int, k: int) -> List[Tuple[Content, int]]:
     for shape in _partitions(k + 2, n, k + 2):
         rows = witt_content_dimension(shape)
         cols = sum(witt_content_dimension(_less(shape, a)) for a in range(len(shape)))
-        if rows * cols > MAX_MATRIX_CELLS:
-            raise PreconditionError(
-                "contraction block of content %r at (n, k) = (%d, %d) has %d cells, "
-                "over the bound of %d" % (shape, n, k, rows * cols, MAX_MATRIX_CELLS)
-            )
+        _check_cells("contraction block of content %r" % (shape,), n, k, rows, cols)
         weight = perm(n, len(shape))
         for part in set(shape):
             weight //= factorial(shape.count(part))
@@ -224,19 +203,34 @@ def _less(content: Content, a: int) -> Content:
     return content[:a] + (content[a] - 1,) + content[a + 1:]
 
 
+def _block_rows(
+    letters: int, k: int, contents: Sequence[Content]
+) -> Tuple[List[Row], List[Tuple[int, Monomial]]]:
+    """The contraction restricted to ``contents``, each of size ``k + 2`` on
+    the letters ``0..letters-1``, as sparse rows (column index to nonzero
+    entry) and the ``(a, u)`` key of each column.  Rows are the Lyndon words
+    of each content in turn, in the basis order, and column ``j`` holds
+    ``[e_a, P_u]`` for ``(a, u) = keys[j]``."""
+    above = lyndon_words_with_content(letters, k + 2)
+    below = lyndon_words_with_content(letters, k + 1)
+    index = {w: i for i, w in enumerate(w for c in contents for w in above.get(c, ()))}
+    keys = [(a, u) for c in contents for a in range(letters) for u in below.get(_less(c, a), ())]
+    rows: List[Row] = [{} for _ in index]
+    for col, (a, u) in enumerate(keys):
+        for w, x in lyndon_bracket((a,), u):
+            rows[index[w]][col] = x
+    return rows, keys
+
+
 def dk_rank(n: int, k: int, method: str = "formula") -> int:
     """Rank of the contraction kernel at level ``k`` over ``n`` generators.
 
     ``method="formula"`` uses the closed form ``n*W(n,k+1) - W(n,k+2)``.
     ``method="matrix"`` recomputes it by elimination, one block per
-    partition of ``k+2`` into at most ``n`` parts: the contraction keeps
-    letter content, so its matrix is block-diagonal by content, and
-    permuting letters carries a block onto every block of the same shape.
-    Each shape's block is built on the letters ``0..l-1`` of its ``l``
-    parts, and its nullity counts once for each content of that shape.  The
-    cell bound applies to each block.  The two methods agree because the
-    contraction is onto (checked in the tests and the acceptance gate, never
-    assumed by the matrix route).
+    partition of ``k+2`` into at most ``n`` parts, on the letters ``0..l-1``
+    of its ``l`` parts, whose nullity counts once for each content of that
+    shape.  The two methods agree because the contraction is onto (checked
+    in the tests and the acceptance gate, never assumed by the matrix route).
     """
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 and k >= 1")
@@ -246,31 +240,36 @@ def dk_rank(n: int, k: int, method: str = "formula") -> int:
         raise ValidationError("unknown method %r" % (method,))
     nullity = 0
     for shape, weight in _content_blocks(n, k):
-        letters = len(shape)
-        words = lyndon_words_with_content(letters, k + 2).get(shape, ())
-        below = lyndon_words_with_content(letters, k + 1)
-        keys = [(a, u) for a in range(letters) for u in below.get(_less(shape, a), ())]
-        rows = _fill_rows({w: i for i, w in enumerate(words)}, keys)
+        rows, keys = _block_rows(len(shape), k, [shape])
         diagonal = eliminate(rows, len(keys))[0]
         nullity += weight * (len(keys) - sum(1 for d in diagonal if d))
     return nullity
 
 
 def dk_basis(n: int, k: int) -> List[TensorElement]:
-    """Saturated integer basis of the contraction kernel at level ``k``:
-    the columns of the Smith form's ``V`` at zero diagonal places, each
-    checked to contract to zero."""
-    rows, keys = _bracket_rows(n, k)
-    cols = len(keys)
-    diagonal, _, vt = eliminate(rows, cols, want_v=True)
-    diagonal += [0] * (cols - len(diagonal))
+    """Saturated integer basis of the contraction kernel at level ``k`` by
+    the basis route of the module docstring, ordered by ``l``, then by letter
+    set, then by kernel order; each vector is checked to contract to zero.
+    A block or the ``coords`` past ``MAX_MATRIX_CELLS`` is refused before
+    any is built."""
+    rank = dk_rank(n, k)
+    _check_cells("kernel basis", n, k, rank, n * witt_dimension(n, k + 1))
+    _content_blocks(n, k)  # refuses a block past the bound
     out = []
-    for d, col in zip(diagonal, vt):
-        if d == 0:
-            terms = {keys[i]: x for i, x in col.items()}
-            if _contract(terms):
-                raise InvariantError("kernel basis vector fails the contraction")
-            out.append(TensorElement(n, k, terms))
+    for letters in range(1, min(n, k + 2) + 1):
+        contents = [c for c in lyndon_words_with_content(letters, k + 2) if min(c)]
+        rows, keys = _block_rows(letters, k, contents)
+        diagonal, _, vt = eliminate(rows, len(keys), want_v=True)
+        kernel = vt[sum(1 for d in diagonal if d):]  # the zeros come last
+        for to in combinations(range(n), letters):
+            pushed = [(to[a], tuple([to[x] for x in u])) for a, u in keys]
+            for col in kernel:
+                terms = {pushed[i]: c for i, c in col.items()}
+                if _contract(terms):
+                    raise InvariantError("kernel basis vector fails the contraction")
+                out.append(TensorElement(n, k, terms))
+    if len(out) != rank:
+        raise InvariantError("kernel basis at (n, k) = (%d, %d) is not of rank %d" % (n, k, rank))
     return out
 
 

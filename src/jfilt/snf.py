@@ -16,7 +16,7 @@ the rank over Q (``integer_rank``, the count of nonzero invariant factors).
 
 There is one elimination, ``eliminate``, and it is sparse: each row is a dict
 from column to nonzero entry, so a step touches only the entries that are
-there (the contraction matrices of ``dk_basis`` are 93-99.5% zeros).  A
+there (the contraction blocks of ``dk_basis`` are 67-99.8% zeros).  A
 column swap only exchanges two places of a permutation.  ``U`` and ``V`` are
 sparse too and each is built only when asked for: invertibility and the rank
 build neither, and ``dk_basis`` builds only ``V`` and reads its kernel
@@ -37,11 +37,11 @@ Least pivots keep entries small, and the matrices built here are mostly 0
 and +-1, so nearly every pivot is a unit, which divides everything: the
 divisibility scan is skipped, and the pivot row is cleared in one pass with
 no search for an entry the pivot does not divide.  With ``V``, ``eliminate``
-takes about 0.6 ms on the rows of ``bracket_matrix(6, 2)`` (315 x 420, 0.5%
-nonzero) and about 4 ms on those of (6, 3) (1,554 x 1,890);
-``smith_normal_form`` and ``integer_rank`` of the dense (6, 2) matrix take
-about 6 ms and 3.5 ms, most of it spent reading the dense input (CPython
-3.11, 2-vCPU x86-64 host).
+takes about 0.5 ms on the blocks of ``dk_basis(6, 3)`` (the largest 48 x
+60) and about 10 ms on those of (4, 5) (the largest 1,200 x 1,396, 0.2%
+nonzero); ``smith_normal_form`` and ``integer_rank`` of the dense
+``bracket_matrix(6, 2)`` (315 x 420) take about 6 ms and 3.6 ms, most of it
+spent reading the dense input (CPython 3.11, 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations

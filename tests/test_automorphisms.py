@@ -675,19 +675,19 @@ def test_symplectic_matrix_detects_failure():
 
 def test_kernel_lifts_share_one_elimination_per_pair(monkeypatch):
     calls = []
-    original = jfilt.brackets.eliminate
+    original = jfilt.automorphisms.dk_basis
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return original(*args, **kwargs)
+    def counted(g, k):
+        calls.append((g, k))
+        return original(g, k)
 
-    monkeypatch.setattr(jfilt.brackets, "eliminate", counted)
+    monkeypatch.setattr(jfilt.automorphisms, "dk_basis", counted)
     jfilt.automorphisms._kernel_basis.cache_clear()
     try:
         lifts = [kernel_lift_tuple(3, 2, [c, 0, -1, 0, 0, 1]) for c in range(-10, 10)]
     finally:
         jfilt.automorphisms._kernel_basis.cache_clear()
-    assert len(calls) == 1
+    assert calls == [(3, 2)]
     assert lifts[11] == kernel_lift_tuple(3, 2, [1, 0, -1, 0, 0, 1])
     assert len({t.entries for t in lifts}) == 20
 

@@ -508,16 +508,30 @@ def test_graph_census_past_the_brute_force_bound_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
-def test_dk_basis_past_the_matrix_cell_bound_exits_3_at_once(capsys):
-    # (10, 2) is the smallest k = 2 pair over the bound; its rank still prints.
-    start = time.perf_counter()
-    code, out, err = invoke(capsys, "dk", "basis", "10", "2")
-    assert code == 3
-    assert out == ""
-    assert "over the bound" in err and "Traceback" not in err
-    assert time.perf_counter() - start < 1.0
-    code, out, _ = invoke(capsys, "dk", "rank", "10", "2")
+def test_dk_basis_past_the_matrix_cell_bound_exits_3_at_once(capsys, monkeypatch):
+    # (11, 2) is the smallest k = 2 pair whose basis coordinates pass the
+    # bound; its rank still prints.  No block is built before the refusal.
+    built = []
+    original = jfilt.brackets._block_rows
+
+    def spy(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jfilt.brackets, "_block_rows", spy)
+    for n, k in (("11", "2"), ("8", "3"), ("40", "2")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "dk", "basis", n, k)
+        assert code == 3, (n, k)
+        assert out == ""
+        assert "over the bound" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+    assert built == []
+    code, out, _ = invoke(capsys, "dk", "rank", "11", "2")
     assert code == 0
+    code, out, _ = invoke(capsys, "dk", "basis", "10", "2")
+    assert code == 0
+    assert json.loads(out)["rank"] == 825
 
 
 def test_graph_orient_theta(capsys, tmp_path):
@@ -559,6 +573,10 @@ def test_malformed_and_missing_input_exit_2(capsys, tmp_path):
         code, _, err = invoke(capsys, "tree", "span", n, k)
         assert code == 2, (n, k, err)
         assert "argument %s: invalid int value: %r" % (bad, n if bad == "n" else k) in err
+    for n, k in (("0", "2"), ("3", "0")):
+        code, out, err = invoke(capsys, "dk", "basis", n, k)
+        assert code == 2 and out == "", (n, k, err)
+        assert "need n >= 1 and k >= 1" in err
     # Graph files whose labels are not an object.
     for labels in (1, "a", [], None, True):
         path = write_json(tmp_path, "labels.json", dict(theta_payload(), labels=labels))

@@ -46,7 +46,7 @@ TREE_IMAGE_DIGEST = "c23c3666df7be51e708267faef75c20badfdc647c810c85b8d1a3ac9022
 ROOTED_BRACKET_DIGEST = "8286bb3dabe0e4f0a020e062a62b838282ba256cea559c8b20a8105ddf7b2fce"
 SPAN_CHECK_DIGEST = "13feba55ba2ff50129fcf810693a98fb0b229c93fbfc02f798e17381da595a3a"
 CENSUS_4_DIGEST = "b44b5f7ce92ab83bafa78c75ad64ead32b384e6a1b93b175009af0badca9d08a"
-AUT_WORDS_DIGEST = "e4fcc5f986980b83d0926ba308600f2773b306fd6202601c025c2ff9143088a3"
+AUT_WORDS_DIGEST = "1fc3dac82f7fd7fdf5beedade10971bdc4f70106b17f98df84895f70a243d5b1"
 
 TREE_SAMPLES = 1000
 

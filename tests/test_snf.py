@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snf_reference
-from jfilt.brackets import bracket_matrix, dk_basis
+from jfilt.brackets import bracket_map, bracket_matrix, dk_basis, dk_rank
 from jfilt.snf import (
     eliminate,
     identity_matrix,
@@ -216,18 +216,18 @@ def _digest(obj):
 
 # sha256 of the compact JSON of dk_basis coordinates and of the Smith form of
 # bracket_matrix(4, 2).  kernel_lift_tuple and `jfilt dk basis` index this
-# basis, so a faster Smith form must leave it exactly as it is.
+# basis, so it is pinned: a change to it, or to its order, is made on purpose.
 DK_BASIS_DIGESTS = {
-    (4, 1): "f81c0c4821fac2d5b2a6814f0720500cc56ea7a1c54fe0bf8480246c3ff23ee8",
-    (5, 1): "b21b28a6cf0f881292173fa587dbaf9fb6843270bf6173e466b291f365a55a2b",
-    (3, 2): "723f9d7002507ca87ad6dbaf25b9be7cd741fa8e15444b3597a1a2403da1d584",
-    (4, 2): "541981ca7be8251ec69e3870f85add02b0545a9763b8931835daa22374482069",
-    (3, 3): "5f6c3e7aa073f2511955ab7841b814b724a4a34dd616e66a964bc843c31982ae",
-    (5, 2): "e52419d60bee650b656c03b556ab5bac395f03e643e006a870a373b303a829fa",
-    (6, 1): "ab831f8522c92e56ac13b6416677b9b879b87fb96c630309b8ef5c4c24d75d82",
-    (3, 4): "60b1ede6581e395dc3378eab9e3390e7bc6bf3a81700ce9e42d6e844b168c6c6",
-    (4, 3): "4631140da97a5dc7486db1179445bc424152833a63f9962285b5eff64a1f480a",
-    (6, 2): "f0f5c4a8e58058c35e2d9c75d04c6b9928e54c0fd7a4cd3de841c354fafbea6c",
+    (4, 1): "d5fcdc46b3006777272ab06861700c5b66b40d2e04b397d60b36d01902be29cc",
+    (5, 1): "4c81a8b5a9235f121895c7463d602af799024db0bc564de8b456c562b9888a03",
+    (3, 2): "6e0ba16b371ded59472f38b03e35d9ce7695075b416c023f7837c60b325eae7a",
+    (4, 2): "e9601f749dfa31064786463673f391298dfcda8ad3c8059717d7afaa6256cf99",
+    (3, 3): "c4b075b1bcda5bbb79afe13ffd51f639539a52a4fb973fadb724a0e6caf3b656",
+    (5, 2): "cf91272595dcfb37ff524edc01b12845a6dd9c86113366f049bdd65793107edf",
+    (6, 1): "f196e55a6ab9319aafe72d13df40e0de6f6769cb3bfe842c48e8fecb0d37edf0",
+    (3, 4): "434578bb74d2e5c91d271667664b44d1f743c931821096a04ee3811230238af6",
+    (4, 3): "62693b22493c602b4fdfd72b61922a28a8fc5a71f87b35c4dca03039c8d93ae3",
+    (6, 2): "57a85e3c2c581f64345441123ae81a350c544ae43b50c4bb733baf10acd67885",
 }
 BRACKET_4_2_SNF_DIGEST = (
     "80e803ace4db1602ad92c3deaf641a3ac67e584f4671a808a2c824324b2ee54b"
@@ -239,6 +239,26 @@ def test_kernel_basis_and_transforms_are_pinned():
         assert _digest([list(t.coords) for t in dk_basis(n, k)]) == digest, (n, k)
     dec = smith_normal_form(bracket_matrix(4, 2))
     assert _digest([dec.U, dec.V, dec.diagonal]) == BRACKET_4_2_SNF_DIGEST
+
+
+def test_kernel_basis_is_saturated_and_spans_the_whole_matrix_kernel():
+    # dk_basis eliminates content blocks; the reference is the kernel of the
+    # whole contraction matrix, the columns of its Smith form's V at zero
+    # diagonal places, which are saturated because V is unimodular.  Two
+    # saturated lattices with the same rational span are equal.
+    for n, k in list(DK_BASIS_DIGESTS) + [(10, 2), (4, 5)]:
+        basis = dk_basis(n, k)
+        rank = dk_rank(n, k)
+        assert len(basis) == rank, (n, k)
+        assert all(bracket_map(t).is_zero for t in basis), (n, k)
+        stacked = [list(t.coords) for t in basis]
+        assert invariant_factors(stacked) == [1] * rank, (n, k)
+        if (n, k) in DK_BASIS_DIGESTS:
+            dec = smith_normal_form(bracket_matrix(n, k))
+            nonzero = sum(1 for d in dec.diagonal if d)
+            reference = [[row[j] for row in dec.V] for j in range(nonzero, dec.cols)]
+            assert len(reference) == rank, (n, k)
+            assert integer_rank(stacked + reference) == rank, (n, k)
 
 
 # sha256 of the compact JSON of ``[U, V, diagonal]`` over each family of
